@@ -22,11 +22,15 @@
 // computed from the pattern), envelopes/sec, and ranks per second of wall
 // time (how much world the host simulates per second, including rank
 // spawn). Emits BENCH_scale.json (--out FILE); --quick / CID_BENCH_QUICK=1
-// runs only the 1k-rank row of each workload (the CI gate —
-// tools/check_bench.py — compares those against the committed JSON).
+// runs only the 1k- and 4k-rank rows of each workload (the CI gate —
+// tools/check_bench.py — compares those against the committed JSON, so
+// per-envelope cost that grows with P shows up there). For profiling one
+// case, --only <workload> runs a single workload and --ranks N a single
+// rank count.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -327,13 +331,49 @@ void write_json(const std::string& path,
   out << "  ]\n}\n";
 }
 
+struct Workload {
+  const char* name;
+  ScaleResult (*run)(int nranks);
+};
+
+constexpr Workload kWorkloads[] = {
+    {"halo3d", [](int n) { return halo3d(n, /*iters=*/2); }},
+    {"particle", [](int n) { return particle(n, /*iters=*/2); }},
+    {"shuffle", [](int n) { return shuffle(n, /*records=*/4); }},
+    {"rpc", [](int n) { return rpc(n, /*per_client=*/4); }},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const bool quick = cid::bench::quick_mode(argc, argv);
   std::string out_path = "BENCH_scale.json";
+  std::string only;
+  std::vector<int> sizes = quick ? std::vector<int>{1000, 4096}
+                                 : std::vector<int>{1000, 4096, 10000};
   for (int i = 1; i < argc - 1; ++i) {
-    if (std::string(argv[i]) == "--out") out_path = argv[i + 1];
+    const std::string arg = argv[i];
+    if (arg == "--out") {
+      out_path = argv[i + 1];
+    } else if (arg == "--only") {
+      only = argv[i + 1];
+    } else if (arg == "--ranks") {
+      const int ranks = std::atoi(argv[i + 1]);
+      if (ranks < 1) {
+        std::fprintf(stderr, "bench_scale: --ranks needs a positive integer\n");
+        return 2;
+      }
+      sizes = {ranks};
+    }
+  }
+  bool known = only.empty();
+  for (const auto& workload : kWorkloads) known |= only == workload.name;
+  if (!known) {
+    std::fprintf(stderr,
+                 "bench_scale: unknown workload '%s' (halo3d, particle, "
+                 "shuffle, rpc)\n",
+                 only.c_str());
+    return 2;
   }
 
   cid::bench::print_header(
@@ -341,15 +381,13 @@ int main(int argc, char** argv) {
       "pooled fiber scheduler + sharded barrier + envelope arena at scale");
   std::printf("(HOST wall-clock time - machine-dependent, not virtual)\n\n");
 
-  const std::vector<int> sizes =
-      quick ? std::vector<int>{1000} : std::vector<int>{1000, 4096, 10000};
-
   std::vector<ScaleResult> results;
   for (int n : sizes) {
-    results.push_back(halo3d(n, /*iters=*/2));
-    results.push_back(particle(n, /*iters=*/2));
-    results.push_back(shuffle(n, /*records=*/4));
-    results.push_back(rpc(n, /*per_client=*/4));
+    for (const auto& workload : kWorkloads) {
+      if (only.empty() || only == workload.name) {
+        results.push_back(workload.run(n));
+      }
+    }
   }
 
   cid::bench::print_row(

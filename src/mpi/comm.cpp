@@ -11,7 +11,48 @@ namespace cid::mpi {
 
 struct Comm::Group {
   int context = 0;
-  std::vector<int> members;  ///< members[comm_rank] = world rank
+  int size = 0;
+  /// Comm rank r is world rank r for every member (world, and any split
+  /// that reproduces it, such as a dup). Identity groups keep no tables, so
+  /// both directions of the rank mapping are a bounds check.
+  bool identity = true;
+  std::vector<int> members;  ///< members[comm_rank] = world rank; non-identity
+  /// Inverse of `members`: (world rank, comm rank) sorted by world rank.
+  /// Sized to the group, not the world, so a P-way split costs O(P) total.
+  std::vector<std::pair<int, int>> by_world;
+
+  /// Group over `members` (comm rank order), with its inverse built once.
+  static std::shared_ptr<const Group> make(int context,
+                                           std::vector<int> members) {
+    auto group = std::make_shared<Group>();
+    group->context = context;
+    group->size = static_cast<int>(members.size());
+    for (int r = 0; r < group->size; ++r) {
+      if (members[r] != r) group->identity = false;
+    }
+    if (!group->identity) {
+      group->by_world.reserve(members.size());
+      for (int r = 0; r < group->size; ++r) {
+        group->by_world.emplace_back(members[r], r);
+      }
+      std::sort(group->by_world.begin(), group->by_world.end());
+      group->members = std::move(members);
+    }
+    return group;
+  }
+
+  int world_of(int comm_rank) const noexcept {
+    return identity ? comm_rank : members[comm_rank];
+  }
+
+  int comm_of(int world_rank) const noexcept {
+    if (identity) {
+      return world_rank >= 0 && world_rank < size ? world_rank : -1;
+    }
+    const auto it = std::ranges::lower_bound(
+        by_world, world_rank, {}, &std::pair<int, int>::first);
+    return it != by_world.end() && it->first == world_rank ? it->second : -1;
+  }
 };
 
 namespace {
@@ -54,15 +95,18 @@ std::shared_ptr<CommRegistry> registry(rt::World& world) {
 }  // namespace
 
 Comm Comm::world() {
+  // The World builds its identity group once; each rank caches the handle in
+  // a local slot, so later calls skip the registry mutex and string lookup.
+  static constexpr char kKey = 0;
   auto& ctx = rt::current_ctx();
-  auto group = ctx.world().shared_object<const Group>("mpi.comm.world", [&] {
-    Group g;
-    g.context = 0;
-    g.members.resize(ctx.nranks());
-    for (int r = 0; r < ctx.nranks(); ++r) g.members[r] = r;
-    return g;
-  }());
-  return Comm(std::move(group));
+  auto& slot = ctx.local_slot(&kKey);
+  if (!slot) {
+    Group identity;  // context 0, no tables
+    identity.size = ctx.nranks();
+    slot = std::make_shared<Comm>(Comm(ctx.world().shared_object<const Group>(
+        "mpi.comm.world", std::move(identity))));
+  }
+  return *static_cast<const Comm*>(slot.get());
 }
 
 int Comm::rank() const {
@@ -74,9 +118,7 @@ int Comm::rank() const {
   return comm_rank;
 }
 
-int Comm::size() const noexcept {
-  return group_ ? static_cast<int>(group_->members.size()) : 0;
-}
+int Comm::size() const noexcept { return group_ ? group_->size : 0; }
 
 int Comm::context() const noexcept { return group_ ? group_->context : -1; }
 
@@ -85,16 +127,14 @@ int Comm::world_rank(int comm_rank) const {
               "world_rank() on invalid Comm");
   CID_REQUIRE(comm_rank >= 0 && comm_rank < size(), ErrorCode::InvalidArgument,
               "comm rank out of range");
-  return group_->members[comm_rank];
+  return group_->world_of(comm_rank);
 }
 
 int Comm::comm_rank_of_world(int world_rank) const noexcept {
-  if (!group_) return -1;
-  for (std::size_t i = 0; i < group_->members.size(); ++i) {
-    if (group_->members[i] == world_rank) return static_cast<int>(i);
-  }
-  return -1;
+  return group_ ? group_->comm_of(world_rank) : -1;
 }
+
+bool Comm::is_identity() const noexcept { return group_ && group_->identity; }
 
 Comm Comm::split(int color, int key) const {
   CID_REQUIRE(valid(), ErrorCode::InvalidArgument, "split() on invalid Comm");
@@ -130,11 +170,12 @@ Comm Comm::split(int color, int key) const {
         ++j;
       }
       if (current_color >= 0) {
-        auto group = std::make_shared<Group>();
-        group->context = reg->next_context++;
+        std::vector<int> members;
+        members.reserve(j - i);
         for (std::size_t k = i; k < j; ++k) {
-          group->members.push_back(op.entries[k].world_rank);
+          members.push_back(op.entries[k].world_rank);
         }
+        auto group = Group::make(reg->next_context++, std::move(members));
         for (std::size_t k = i; k < j; ++k) {
           op.result_by_world_rank[op.entries[k].world_rank] = group;
         }
@@ -174,8 +215,9 @@ void Comm::barrier() const {
       world.barrier(me, cost);
       return;
     }
-    for (int member : group_->members) {
-      CID_REQUIRE(world.rank_is_local(member), ErrorCode::UnsupportedTarget,
+    for (int r = 0; r < members; ++r) {
+      CID_REQUIRE(world.rank_is_local(group_->world_of(r)),
+                  ErrorCode::UnsupportedTarget,
                   "sub-communicator barrier spans processes; only "
                   "process-local sub-groups are supported on the tcp "
                   "transport");
@@ -188,7 +230,9 @@ void Comm::barrier() const {
   bar.max_clock = std::max(bar.max_clock, ctx.clock().now());
   if (++bar.arrived == members) {
     const simnet::SimTime release = bar.max_clock + cost;
-    for (int member : group_->members) world.clock(member).reset(release);
+    for (int r = 0; r < members; ++r) {
+      world.clock(group_->world_of(r)).reset(release);
+    }
     bar.arrived = 0;
     bar.max_clock = 0.0;
     ++bar.generation;

@@ -38,6 +38,10 @@ class Comm {
   bool is_member(int world_rank) const noexcept {
     return comm_rank_of_world(world_rank) >= 0;
   }
+  /// True when comm rank r is world rank r for every member (world, and any
+  /// split that keeps world order from rank 0, such as a dup). Such groups
+  /// map ranks with a bounds check; others search a sorted inverse, O(log k).
+  bool is_identity() const noexcept;
 
   /// MPI_Comm_split: collective over *all members*. Members with the same
   /// color land in the same sub-communicator, ordered by (key, parent rank).

@@ -86,11 +86,32 @@ bool all_exact(const std::vector<rt::MatchKey>& keys) noexcept {
 }  // namespace
 
 Engine& Engine::mine() {
+  // The rank caches its Engine in a local slot (aliasing, so it also keeps
+  // the World's engine table alive): only the first call takes the registry
+  // mutex and string lookup.
+  static constexpr char kKey = 0;
   auto& ctx = rt::current_ctx();
-  auto engines =
-      ctx.world().shared_object<std::vector<Engine>>("mpi.engines",
-                                                     ctx.nranks());
-  return (*engines)[ctx.rank()];
+  auto& slot = ctx.local_slot(&kKey);
+  if (!slot) {
+    auto engines = ctx.world().shared_object<std::vector<Engine>>(
+        "mpi.engines", ctx.nranks());
+    slot = std::shared_ptr<void>(engines, &(*engines)[ctx.rank()]);
+  }
+  return *static_cast<Engine*>(slot.get());
+}
+
+detail::RequestImpl* Engine::first_match(
+    const rt::Envelope& envelope) const {
+  for (const auto& posted : posted_) {
+    if (!posted->complete && envelope_matches(envelope, *posted)) {
+      return posted.get();
+    }
+  }
+  return nullptr;
+}
+
+rt::Mailbox::Residual Engine::posted_residual() const {
+  return [this](const rt::Envelope& e) { return first_match(e) != nullptr; };
 }
 
 void Engine::post_recv(const std::shared_ptr<detail::RequestImpl>& request) {
@@ -142,23 +163,15 @@ void Engine::progress(rt::RankCtx& ctx) {
   // choosing its receive atomically (per envelope) avoids the race where a
   // message arriving mid-sweep is claimed by a later posted receive after
   // an earlier matching receive already scanned an empty queue.
-  const rt::Mailbox::Residual residual = [this](const rt::Envelope& e) {
-    for (const auto& posted : posted_) {
-      if (!posted->complete && envelope_matches(e, *posted)) return true;
-    }
-    return false;
-  };
+  const rt::Mailbox::Residual residual = posted_residual();
   for (;;) {
     const std::vector<rt::MatchKey> keys = posted_keys(posted_);
     if (keys.empty()) break;
     auto envelope = ctx.mailbox().try_extract(
         keys, all_exact(keys) ? nullptr : &residual);
     if (!envelope) break;
-    for (auto& posted : posted_) {
-      if (!posted->complete && envelope_matches(*envelope, *posted)) {
-        deliver(ctx, *posted, *envelope);
-        break;
-      }
+    if (auto* posted = first_match(*envelope)) {
+      deliver(ctx, *posted, *envelope);
     }
   }
   posted_.erase(std::remove_if(posted_.begin(), posted_.end(),
@@ -168,12 +181,7 @@ void Engine::progress(rt::RankCtx& ctx) {
 
 void Engine::wait_any_progress(rt::RankCtx& ctx) {
   const std::vector<rt::MatchKey> keys = posted_keys(posted_);
-  const rt::Mailbox::Residual residual = [this](const rt::Envelope& e) {
-    for (const auto& posted : posted_) {
-      if (!posted->complete && envelope_matches(e, *posted)) return true;
-    }
-    return false;
-  };
+  const rt::Mailbox::Residual residual = posted_residual();
   ctx.mailbox().wait_present(keys, all_exact(keys) ? nullptr : &residual);
   progress(ctx);
 }
@@ -205,10 +213,7 @@ bool Engine::wait_complete_for(
     keys.push_back(tombstone_key);
     const rt::Mailbox::Residual residual = [&](const rt::Envelope& e) {
       if (e.faulted) return envelope_fields_match(e, *request);
-      for (const auto& posted : posted_) {
-        if (!posted->complete && envelope_matches(e, *posted)) return true;
-      }
-      return false;
+      return first_match(e) != nullptr;
     };
     ctx.mailbox().wait_present(keys, all_exact(keys) ? nullptr : &residual);
   }
@@ -232,12 +237,7 @@ void Engine::wait_complete(
     // then re-run ordered matching. (Send requests complete at creation, so
     // reaching here means `request` is a posted receive.)
     const std::vector<rt::MatchKey> keys = posted_keys(posted_);
-    const rt::Mailbox::Residual residual = [this](const rt::Envelope& e) {
-      for (const auto& posted : posted_) {
-        if (!posted->complete && envelope_matches(e, *posted)) return true;
-      }
-      return false;
-    };
+    const rt::Mailbox::Residual residual = posted_residual();
     ctx.mailbox().wait_present(keys, all_exact(keys) ? nullptr : &residual);
   }
 }

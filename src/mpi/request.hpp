@@ -136,6 +136,14 @@ class Engine {
   void deliver(rt::RankCtx& ctx, detail::RequestImpl& request,
                const rt::Envelope& envelope);
 
+  /// First incomplete posted receive (in post order) that `envelope`
+  /// matches, or null.
+  detail::RequestImpl* first_match(const rt::Envelope& envelope) const;
+
+  /// Mailbox residual admitting envelopes that first_match() accepts: the
+  /// membership and ordering check that MatchKeys alone cannot express.
+  rt::Mailbox::Residual posted_residual() const;
+
   std::vector<std::shared_ptr<detail::RequestImpl>> posted_;
   std::uint64_t next_post_order_ = 0;
   int next_window_id_ = 0;

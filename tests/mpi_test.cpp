@@ -774,6 +774,96 @@ TEST(MpiComm, NestedSplit) {
   });
 }
 
+TEST(MpiComm, WorldIsBuiltOnceAndDupKeepsIdentity) {
+  spmd(5, [](RankCtx& ctx) {
+    const auto world = mpi::Comm::world();
+    EXPECT_TRUE(world == mpi::Comm::world());
+    EXPECT_TRUE(world.is_identity());
+    const auto dup = world.split(0, ctx.rank());
+    ASSERT_TRUE(dup.valid());
+    EXPECT_FALSE(dup == world);
+    EXPECT_NE(dup.context(), world.context());
+    EXPECT_TRUE(dup.is_identity());
+    EXPECT_EQ(dup.rank(), ctx.rank());
+    for (int w = -2; w < 7; ++w) {
+      const int expected = w >= 0 && w < 5 ? w : -1;
+      EXPECT_EQ(dup.comm_rank_of_world(w), expected) << "world rank " << w;
+      EXPECT_EQ(dup.is_member(w), expected >= 0) << "world rank " << w;
+    }
+  });
+}
+
+TEST(MpiComm, SplitMembershipIsExactForEveryWorldRank) {
+  constexpr int kRanks = 7;
+  spmd(kRanks, [](RankCtx& ctx) {
+    const int me = ctx.rank();
+    const auto world = mpi::Comm::world();
+    // Parity colors, descending keys: the even group is {6, 4, 2, 0} and the
+    // odd group {5, 3, 1}, in comm rank order.
+    const auto sub = world.split(me % 2, -me);
+    ASSERT_TRUE(sub.valid());
+    EXPECT_FALSE(sub.is_identity());
+    std::vector<int> members;
+    for (int w = kRanks - 1; w >= 0; --w) {
+      if (w % 2 == me % 2) members.push_back(w);
+    }
+    ASSERT_EQ(sub.size(), static_cast<int>(members.size()));
+    for (int c = 0; c < sub.size(); ++c) {
+      EXPECT_EQ(sub.world_rank(c), members[c]);
+    }
+    EXPECT_THROW(sub.world_rank(-1), cid::CidError);
+    EXPECT_THROW(sub.world_rank(sub.size()), cid::CidError);
+    EXPECT_EQ(sub.world_rank(sub.rank()), me);
+    EXPECT_EQ(sub.rank(), (kRanks - 1 - me) / 2);
+    for (int w = -3; w < kRanks + 3; ++w) {
+      int expected = -1;
+      for (int c = 0; c < sub.size(); ++c) {
+        if (members[c] == w) expected = c;
+      }
+      EXPECT_EQ(sub.comm_rank_of_world(w), expected) << "world rank " << w;
+      EXPECT_EQ(sub.is_member(w), expected >= 0) << "world rank " << w;
+      const int in_world = w >= 0 && w < kRanks ? w : -1;
+      EXPECT_EQ(world.comm_rank_of_world(w), in_world) << "world rank " << w;
+      EXPECT_EQ(world.is_member(w), in_world >= 0) << "world rank " << w;
+    }
+  });
+}
+
+TEST(MpiComm, WildcardOnSplitReportsCommRanks) {
+  spmd(6, [](RankCtx& ctx) {
+    // Descending keys make comm ranks differ from world ranks: the even
+    // group is {4, 2, 0}, the odd group {5, 3, 1}.
+    const auto sub = mpi::Comm::world().split(ctx.rank() % 2, -ctx.rank());
+    const int me = sub.rank();
+    if (me != 0) {
+      mpi::send(sub, &me, 1, 0, /*tag=*/5);
+      return;
+    }
+    // The first message is seen by iprobe, then every message is taken by a
+    // wildcard receive; both report the sender's comm rank.
+    mpi::RecvStatus probed;
+    while (!mpi::iprobe(sub, mpi::kAnySource, 5, mpi::datatype_of<int>(),
+                        &probed)) {
+    }
+    EXPECT_GT(probed.source, 0);
+    EXPECT_LT(probed.source, sub.size());
+    std::vector<bool> seen(sub.size(), false);
+    for (int i = 1; i < sub.size(); ++i) {
+      int sender = -1;
+      auto request = mpi::irecv(sub, &sender, 1, mpi::kAnySource, 5);
+      const auto status = mpi::wait(request);
+      EXPECT_EQ(status.source, sender);
+      if (i == 1) {
+        EXPECT_EQ(status.source, probed.source);
+      }
+      ASSERT_GT(sender, 0);
+      ASSERT_LT(sender, sub.size());
+      EXPECT_FALSE(seen[sender]);
+      seen[sender] = true;
+    }
+  });
+}
+
 TEST(MpiComm, BarrierOnSubcommunicator) {
   cid::rt::run(4, MachineModel::cray_xk7_gemini(), [](RankCtx& ctx) {
     auto world = mpi::Comm::world();
