@@ -1,5 +1,8 @@
 #include "core/clauses.hpp"
 
+#include <functional>
+#include <unordered_map>
+
 namespace cid::core {
 
 std::string_view target_keyword(Target target) noexcept {
@@ -57,6 +60,40 @@ Result<SyncPlacement> parse_sync_placement_keyword(std::string_view keyword) {
   }
   return Status(ErrorCode::InvalidClause,
                 "unknown place_sync keyword '" + std::string(keyword) + "'");
+}
+
+namespace {
+
+struct TextHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view text) const noexcept {
+    return std::hash<std::string_view>{}(text);
+  }
+};
+
+}  // namespace
+
+void ClauseExpr::assign_text(std::string_view text) {
+  // Per thread, so a hit takes no lock; Expr trees are immutable and shared,
+  // so a ClauseExpr may outlive or leave the thread that built it. Nothing
+  // here yields, so a fiber never holds the cache across a migration.
+  thread_local std::unordered_map<std::string, Result<Expr>, TextHash,
+                                  std::equal_to<>>
+      cache;
+  const auto take = [this](const Result<Expr>& parsed) {
+    if (parsed.is_ok()) {
+      expr_ = parsed.value();
+    } else {
+      parse_error_ = parsed.status();
+    }
+  };
+  kind_ = Kind::Parsed;  // a broken text is present; eval() reports the error
+  auto it = cache.find(text);
+  if (it == cache.end()) {
+    if (cache.size() >= kParseCacheEntries) return take(Expr::parse(text));
+    it = cache.emplace(std::string(text), Expr::parse(text)).first;
+  }
+  take(it->second);
 }
 
 Result<ExprValue> ClauseExpr::eval(const Env& env) const {
@@ -133,37 +170,54 @@ Status Clauses::validate_p2p_site() const {
   return Status::ok();
 }
 
+ClauseView::ClauseView(const Clauses* region, const Clauses& site)
+    : site_(&site) {
+  static const Clauses kNoRegion;
+  region_ = region != nullptr ? region : &kNoRegion;
+}
+
+void ClauseView::bind_lets(Env& env) const {
+  for (const auto& [name, value] : region_->bindings()) env.bind(name, value);
+  for (const auto& [name, value] : site_->bindings()) env.bind(name, value);
+}
+
 Status Clauses::validate_for_p2p() const {
-  if (!sender_.present()) {
+  return ClauseView(*this).validate_for_p2p();
+}
+
+Status ClauseView::validate_for_p2p() const {
+  const std::vector<BufferRef>& sbufs = sbuf_list();
+  const std::vector<BufferRef>& rbufs = rbuf_list();
+  if (!sender_clause().present()) {
     return Status(ErrorCode::InvalidClause,
                   "comm_p2p requires the sender clause");
   }
-  if (!receiver_.present()) {
+  if (!receiver_clause().present()) {
     return Status(ErrorCode::InvalidClause,
                   "comm_p2p requires the receiver clause");
   }
-  if (sbuf_.empty()) {
+  if (sbufs.empty()) {
     return Status(ErrorCode::InvalidClause,
                   "comm_p2p requires a non-empty sbuf clause");
   }
-  if (rbuf_.empty()) {
+  if (rbufs.empty()) {
     return Status(ErrorCode::InvalidClause,
                   "comm_p2p requires a non-empty rbuf clause");
   }
-  if (sbuf_.size() != rbuf_.size()) {
+  if (sbufs.size() != rbufs.size()) {
     return Status(ErrorCode::InvalidClause,
                   "sbuf and rbuf must list the same number of buffers (got " +
-                      std::to_string(sbuf_.size()) + " and " +
-                      std::to_string(rbuf_.size()) + ")");
+                      std::to_string(sbufs.size()) + " and " +
+                      std::to_string(rbufs.size()) + ")");
   }
-  if (sendwhen_.present() != receivewhen_.present()) {
+  if (sendwhen_clause().present() != receivewhen_clause().present()) {
     return Status(ErrorCode::InvalidClause,
                   "sendwhen and receivewhen must both be present or both be "
                   "omitted");
   }
-  for (std::size_t i = 0; i < sbuf_.size(); ++i) {
-    const BufferRef& s = sbuf_[i];
-    const BufferRef& r = rbuf_[i];
+  for (std::size_t i = 0; i < sbufs.size(); ++i) {
+    const BufferRef& s = sbufs[i];
+    const BufferRef& r = rbufs[i];
     if (s.element_size != r.element_size ||
         s.is_composite() != r.is_composite() ||
         (s.is_composite() ? s.layout != r.layout : s.basic != r.basic)) {

@@ -49,6 +49,12 @@ Result<Pattern> parse_pattern_keyword(std::string_view keyword);
 /// rank — the embedded-API equivalent of a C expression in the pragma).
 class ClauseExpr {
  public:
+  /// Distinct clause texts whose parse each thread remembers. A program has
+  /// a fixed set of directive texts; the bound only stops a program that
+  /// generates texts from growing the cache without limit. Texts past it
+  /// are parsed uncached.
+  static constexpr std::size_t kParseCacheEntries = 4096;
+
   ClauseExpr() = default;
   ClauseExpr(ExprValue value) : value_(value), kind_(Kind::Value) {}  // NOLINT
   ClauseExpr(int value)                                                // NOLINT
@@ -59,8 +65,9 @@ class ClauseExpr {
              (!std::is_arithmetic_v<std::decay_t<F>>)
   ClauseExpr(F fn)  // NOLINT(google-explicit-constructor)
       : fn_(std::move(fn)), kind_(Kind::Callable) {}
-  /// Parses eagerly; a parse failure is reported at evaluation time so the
-  /// builder API stays chainable.
+  /// Parses eagerly (once per distinct text per thread; see assign_text);
+  /// a parse failure is reported at evaluation time so the builder API stays
+  /// chainable.
   ClauseExpr(const char* text) { assign_text(text); }  // NOLINT
   ClauseExpr(const std::string& text) { assign_text(text); }  // NOLINT
 
@@ -74,16 +81,10 @@ class ClauseExpr {
  private:
   enum class Kind { Absent, Value, Parsed, Callable };
 
-  void assign_text(const std::string& text) {
-    auto parsed = Expr::parse(text);
-    if (parsed.is_ok()) {
-      expr_ = std::move(parsed).take();
-      kind_ = Kind::Parsed;
-    } else {
-      parse_error_ = parsed.status();
-      kind_ = Kind::Parsed;  // present but broken; eval() reports the error
-    }
-  }
+  /// Takes the parse of `text` (tree or exact parse error) from a bounded
+  /// per-thread cache, so a directive rebuilt every iteration parses its
+  /// clause texts only once.
+  void assign_text(std::string_view text);
 
   ExprValue value_ = 0;
   Expr expr_{};
@@ -168,7 +169,8 @@ class Clauses {
   Status validate_p2p_site() const;
 
   /// Validation for a standalone or merged comm_p2p: required clauses
-  /// present, sendwhen/receivewhen paired, buffer lists consistent.
+  /// present, sendwhen/receivewhen paired, buffer lists consistent (the
+  /// rules of ClauseView::validate_for_p2p).
   Status validate_for_p2p() const;
 
   /// Validation for a comm_parameters directive: any subset of clauses, with
@@ -197,6 +199,82 @@ class Clauses {
   std::vector<BufferRef> sbuf_;
   std::vector<BufferRef> rbuf_;
   std::vector<std::pair<std::string, ExprValue>> bindings_;
+};
+
+/// A comm_p2p's effective clauses, read in place: the site's clauses layered
+/// over the enclosing region's by the rule of Clauses::merged. A clause
+/// present on the site wins, otherwise the region's applies; the reliability
+/// pair moves together; bindings are the region's, then the site's. The
+/// executor reads this view on every execution instead of building a merged
+/// copy. Both clause sets must outlive the view.
+class ClauseView {
+ public:
+  explicit ClauseView(const Clauses& site) : ClauseView(nullptr, site) {}
+  /// `region` may be null (a standalone comm_p2p).
+  ClauseView(const Clauses* region, const Clauses& site);
+
+  const ClauseExpr& sender_clause() const noexcept {
+    return pick(site_->sender_clause(), region_->sender_clause());
+  }
+  const ClauseExpr& receiver_clause() const noexcept {
+    return pick(site_->receiver_clause(), region_->receiver_clause());
+  }
+  const ClauseExpr& sendwhen_clause() const noexcept {
+    return pick(site_->sendwhen_clause(), region_->sendwhen_clause());
+  }
+  const ClauseExpr& receivewhen_clause() const noexcept {
+    return pick(site_->receivewhen_clause(), region_->receivewhen_clause());
+  }
+  const ClauseExpr& count_clause() const noexcept {
+    return pick(site_->count_clause(), region_->count_clause());
+  }
+  const ClauseExpr& max_comm_iter_clause() const noexcept {
+    return pick(site_->max_comm_iter_clause(), region_->max_comm_iter_clause());
+  }
+  bool reliability_present() const noexcept {
+    return reliability_owner().reliability_present();
+  }
+  const ClauseExpr& reliability_timeout_clause() const noexcept {
+    return reliability_owner().reliability_timeout_clause();
+  }
+  const ClauseExpr& reliability_retries_clause() const noexcept {
+    return reliability_owner().reliability_retries_clause();
+  }
+  const std::optional<Target>& target_clause() const noexcept {
+    return site_->target_clause().has_value() ? site_->target_clause()
+                                              : region_->target_clause();
+  }
+  const std::vector<BufferRef>& sbuf_list() const noexcept {
+    return site_->sbuf_list().empty() ? region_->sbuf_list()
+                                      : site_->sbuf_list();
+  }
+  const std::vector<BufferRef>& rbuf_list() const noexcept {
+    return site_->rbuf_list().empty() ? region_->rbuf_list()
+                                      : site_->rbuf_list();
+  }
+
+  /// Binds every let() into `env`, the region's first, so a site binding
+  /// shadows a region binding of the same name.
+  void bind_lets(Env& env) const;
+  std::size_t let_count() const noexcept {
+    return region_->bindings().size() + site_->bindings().size();
+  }
+
+  /// The comm_p2p rules: sender, receiver and both buffer lists present,
+  /// sendwhen/receivewhen paired, buffer pairs of matching element types.
+  Status validate_for_p2p() const;
+
+ private:
+  static const ClauseExpr& pick(const ClauseExpr& site,
+                                const ClauseExpr& region) noexcept {
+    return site.present() ? site : region;
+  }
+  const Clauses& reliability_owner() const noexcept {
+    return site_->reliability_present() ? *site_ : *region_;
+  }
+
+  const Clauses* region_;  ///< never null: an empty set when standalone
+  const Clauses* site_;
 };
 
 }  // namespace cid::core

@@ -17,23 +17,6 @@ namespace cid::core {
 namespace detail {
 namespace {
 
-Env make_env(const Clauses& clauses) {
-  Env env;
-  auto& ctx = rt::current_ctx();
-  env.bind("rank", ctx.rank());
-  env.bind("nprocs", ctx.nranks());
-  for (const auto& [name, value] : clauses.bindings()) env.bind(name, value);
-  return env;
-}
-
-ExprValue eval_clause(const ClauseExpr& clause, const Env& env,
-                      const char* what) {
-  auto value = clause.eval(env);
-  CID_REQUIRE(value.is_ok(), ErrorCode::InvalidClause,
-              std::string(what) + " clause: " + value.status().to_string());
-  return value.value();
-}
-
 std::size_t resolve_count(const Clauses& clauses, const Env& env,
                           Pattern pattern, int group_size) {
   if (clauses.count_clause().present()) {
@@ -149,7 +132,7 @@ void lower_shmem(ExecState& state, const SiteKey& site, const mpi::Comm& comm,
   // regardless of which ranks participate or in what order. Two slot banks:
   // data publications and consumption acks (see ShmemCollectiveSite).
   const std::size_t npes = static_cast<std::size_t>(ctx.nranks());
-  auto& coll = state.shmem_collectives[site];
+  auto& coll = state.shmem_collectives[&site];
   if (coll.flags == nullptr) {
     coll.flags = shmem::shared_flags("cid.coll." + site, 2 * npes);
   }
@@ -293,7 +276,7 @@ void comm_collective(const Clauses& clauses, std::source_location site_loc) {
   // window fences) is safe here.
   state.flush(state.pending);
 
-  const Env env = make_env(clauses);
+  const Env env = make_env(ClauseView(clauses));
   const Pattern pattern = *clauses.pattern_clause();
   const Target target = clauses.target_clause().value_or(Target::Mpi2Side);
   CID_REQUIRE(target != Target::Mpi1Side, ErrorCode::UnsupportedTarget,
@@ -304,10 +287,9 @@ void comm_collective(const Clauses& clauses, std::source_location site_loc) {
       clauses.group_clause().present()
           ? eval_clause(clauses.group_clause(), env, "group")
           : 0;
-  const SiteKey site = std::string(site_loc.file_name()) + ":" +
-                       std::to_string(site_loc.line());
+  const SiteKey& site = site_key(site_loc);
 
-  auto& cache = state.group_comms[site];
+  auto& cache = state.group_comms[&site];
   if (!cache.valid || cache.color != color) {
     cache.comm = mpi::Comm::world().split(
         color < 0 ? -1 : static_cast<int>(color), ctx.rank());

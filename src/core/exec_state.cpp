@@ -2,6 +2,8 @@
 
 #include <cstring>
 #include <iterator>
+#include <mutex>
+#include <unordered_set>
 
 #include "core/reliability.hpp"
 #include "core/trace.hpp"
@@ -9,6 +11,52 @@
 #include "shmem/shmem.hpp"
 
 namespace cid::core::detail {
+
+const SiteKey& site_key(const std::source_location& location) {
+  // Fast path: this thread has seen the (file_name pointer, line) pair. The
+  // pointer alone is not the identity (two translation units may hold
+  // separate copies of one file name), so misses go through the global set,
+  // which interns by text.
+  struct Seen {
+    const char* file;
+    std::uint_least32_t line;
+    bool operator==(const Seen&) const = default;
+  };
+  struct SeenHash {
+    std::size_t operator()(const Seen& seen) const noexcept {
+      return std::hash<const char*>{}(seen.file) * 31 + seen.line;
+    }
+  };
+  thread_local std::unordered_map<Seen, const SiteKey*, SeenHash> seen;
+  const SiteKey*& interned = seen[{location.file_name(), location.line()}];
+  if (interned == nullptr) {
+    static std::mutex mutex;
+    static std::unordered_set<SiteKey> sites;  // never shrinks
+    SiteKey text = std::string(location.file_name()) + ":" +
+                   std::to_string(location.line());
+    const std::lock_guard<std::mutex> lock(mutex);
+    interned = &*sites.insert(std::move(text)).first;
+  }
+  return *interned;
+}
+
+Env make_env(const ClauseView& clauses) {
+  Env env;
+  env.reserve(2 + clauses.let_count());
+  auto& ctx = rt::current_ctx();
+  env.bind("rank", ctx.rank());
+  env.bind("nprocs", ctx.nranks());
+  clauses.bind_lets(env);
+  return env;
+}
+
+ExprValue eval_clause(const ClauseExpr& clause, const Env& env,
+                      const char* what) {
+  auto value = clause.eval(env);
+  CID_REQUIRE(value.is_ok(), ErrorCode::InvalidClause,
+              std::string(what) + " clause: " + value.status().to_string());
+  return value.value();
+}
 
 void PendingOps::merge_from(PendingOps&& other) {
   mpi_requests.insert(mpi_requests.end(), other.mpi_requests.begin(),

@@ -5,11 +5,16 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <source_location>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "core/clauses.hpp"
 #include "core/expr.hpp"
 #include "core/reliability.hpp"
 #include "core/stats.hpp"
@@ -20,10 +25,47 @@
 
 namespace cid::core::detail {
 
-/// A directive site: the lexical position of a comm_p2p (file:line). All
+/// A directive site: the lexical position of a directive (file:line). All
 /// ranks execute the same sites in the same order (SPMD discipline), which
 /// makes site-keyed collective allocations consistent.
 using SiteKey = std::string;
+
+/// The interned text of the directive site at `location`. The string lives
+/// as long as the process and is the same object from every thread, so its
+/// address identifies the site: per-site tables key by it, and a rank's
+/// tables stay valid when its fiber migrates between workers. After a
+/// thread's first sight of a site this takes no lock and builds no string.
+const SiteKey& site_key(const std::source_location& location);
+
+/// Per-site state of one rank, keyed by interned site.
+template <typename T>
+using SiteTable = std::unordered_map<const SiteKey*, T>;
+
+/// A finer per-site key: the interned site, a buffer-pair index and a peer
+/// rank (0 where a table does not distinguish peers).
+struct SiteSlot {
+  const SiteKey* site = nullptr;
+  std::size_t pair = 0;
+  int peer = 0;
+  bool operator==(const SiteSlot&) const = default;
+};
+struct SiteSlotHash {
+  std::size_t operator()(const SiteSlot& slot) const noexcept {
+    std::size_t h = std::hash<const SiteKey*>{}(slot.site);
+    h = h * 31 + slot.pair;
+    return h * 31 + static_cast<std::size_t>(slot.peer);
+  }
+};
+template <typename T>
+using SiteSlotTable = std::unordered_map<SiteSlot, T, SiteSlotHash>;
+
+/// Directive evaluation environment: `rank`, `nprocs`, then every let() of
+/// `clauses` (region first, so site bindings shadow).
+Env make_env(const ClauseView& clauses);
+
+/// Evaluates a present clause; throws InvalidClause naming `what` on error.
+ExprValue eval_clause(const ClauseExpr& clause, const Env& env,
+                      const char* what);
 
 /// Byte range touched by a pending operation, for the adjacency analysis
 /// ("adjacent comm_p2p directives with independent buffers" share one sync).
@@ -66,7 +108,7 @@ struct ShmemFlagUpdate {
 /// in flight (injected at directive time, mirroring the plain lowering's
 /// costs); the epoch loop waits for the ack and retransmits from `payload`.
 struct ReliableSend {
-  SiteKey site;
+  const SiteKey* site = nullptr;
   std::size_t pair_index = 0;
   int dest = -1;        ///< world rank
   int transfer_id = 0;  ///< per ordered (src,dst) pair, program order
@@ -81,7 +123,7 @@ struct ReliableSend {
 
 /// A reliable transfer's receiver half; matched in the epoch loop.
 struct ReliableRecv {
-  SiteKey site;
+  const SiteKey* site = nullptr;
   std::size_t pair_index = 0;
   int src = -1;  ///< world rank
   int transfer_id = 0;
@@ -201,19 +243,22 @@ class ExecState {
     std::size_t send_used = 0;  ///< slots consumed since the last epoch
     std::size_t recv_used = 0;
   };
-  std::map<SiteKey, ReliableSlotUse> reliable_slots;
+  SiteTable<ReliableSlotUse> reliable_slots;
   /// Pairs the reliability protocol gave up on (see core::delivery_report()).
   DeliveryReport delivery_report;
 
-  std::map<SiteKey, ShmemSiteState> shmem_sites;
-  std::map<SiteKey, ChannelSlots> channels;
-  std::map<SiteKey, WindowCacheEntry> windows;
-  std::map<SiteKey, GroupCommEntry> group_comms;
-  std::map<SiteKey, ShmemCollectiveSite> shmem_collectives;
+  SiteTable<ShmemSiteState> shmem_sites;
+  /// Persistent requests per (site, buffer pair, peer): a persistent
+  /// request's peer is fixed at init time.
+  SiteSlotTable<ChannelSlots> channels;
+  /// One window per (site, buffer pair).
+  SiteSlotTable<WindowCacheEntry> windows;
+  SiteTable<GroupCommEntry> group_comms;
+  SiteTable<ShmemCollectiveSite> shmem_collectives;
   std::map<const TypeLayout*, mpi::Datatype> datatype_cache;
   /// Sites whose pack-vs-flat throughput was already measured this run
   /// (cid::tune record mode calibrates each site once).
-  std::map<SiteKey, bool> tune_calibrated;
+  std::unordered_set<const SiteKey*> tune_calibrated;
 
   /// Region nesting stack (owned by the Region RAII objects).
   std::vector<class RegionImpl*> region_stack;

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -23,24 +22,33 @@ namespace cid::core {
 using ExprValue = std::int64_t;
 
 /// Variable bindings for evaluation. `rank` and `nprocs` are bound by the
-/// executor; user variables come from Clauses::let().
+/// executor; user variables come from Clauses::let(). A directive binds a
+/// handful of names, so a flat list searched linearly beats a tree.
 class Env {
  public:
-  void bind(std::string name, ExprValue value) {
-    values_[std::move(name)] = value;
+  /// Binds `name`, overwriting an existing binding of the same name.
+  void bind(std::string_view name, ExprValue value) {
+    for (auto& [bound, old] : values_) {
+      if (bound == name) {
+        old = value;
+        return;
+      }
+    }
+    values_.emplace_back(std::string(name), value);
   }
   /// Looks up a variable; error Status when unbound.
-  Result<ExprValue> lookup(const std::string& name) const {
-    auto it = values_.find(name);
-    if (it == values_.end()) {
-      return Status(ErrorCode::ParseError,
-                    "unbound variable '" + name + "' in clause expression");
+  Result<ExprValue> lookup(std::string_view name) const {
+    for (const auto& [bound, value] : values_) {
+      if (bound == name) return value;
     }
-    return it->second;
+    return Status(ErrorCode::ParseError, "unbound variable '" +
+                                             std::string(name) +
+                                             "' in clause expression");
   }
+  void reserve(std::size_t names) { values_.reserve(names); }
 
  private:
-  std::map<std::string, ExprValue> values_;
+  std::vector<std::pair<std::string, ExprValue>> values_;
 };
 
 /// Parsed expression; immutable, shareable.

@@ -21,36 +21,12 @@ namespace detail {
 class RegionImpl {
  public:
   Clauses clauses;  ///< already merged with any enclosing region
-  SiteKey site;
+  const SiteKey* site = nullptr;
 };
 
 namespace {
 
 constexpr int kDirectiveTag = 2000;
-
-SiteKey site_key(const std::source_location& location) {
-  return std::string(location.file_name()) + ":" +
-         std::to_string(location.line());
-}
-
-Env make_env(const Clauses& merged) {
-  Env env;
-  auto& ctx = rt::current_ctx();
-  env.bind("rank", ctx.rank());
-  env.bind("nprocs", ctx.nranks());
-  for (const auto& [name, value] : merged.bindings()) {
-    env.bind(name, value);
-  }
-  return env;
-}
-
-ExprValue eval_clause(const ClauseExpr& clause, const Env& env,
-                      const char* what) {
-  auto value = clause.eval(env);
-  CID_REQUIRE(value.is_ok(), ErrorCode::InvalidClause,
-              std::string(what) + " clause: " + value.status().to_string());
-  return value.value();
-}
 
 void throw_if_error(const Status& status) {
   if (!status.is_ok()) {
@@ -60,7 +36,7 @@ void throw_if_error(const Status& status) {
 
 /// Count inference: explicit count clause, else the smallest known array
 /// extent among the listed buffers (paper Section III-B).
-std::size_t resolve_count(const Clauses& merged, const Env& env) {
+std::size_t resolve_count(const ClauseView& merged, const Env& env) {
   if (merged.count_clause().present()) {
     const ExprValue value =
         eval_clause(merged.count_clause(), env, "count");
@@ -139,8 +115,7 @@ void record_tune_observations(ExecState& state, rt::RankCtx& ctx,
     obs::count(shmem::is_symmetric(rbufs[i].data) ? "cid.tune.sym_ok"
                                                   : "cid.tune.sym_fail",
                site, ctx.rank());
-    if (!dtype.is_contiguous() && !state.tune_calibrated[site]) {
-      state.tune_calibrated[site] = true;
+    if (!dtype.is_contiguous() && state.tune_calibrated.insert(&site).second) {
       calibrate_pack(site, ctx, dtype, sbufs[i].data, count);
     }
   }
@@ -148,11 +123,11 @@ void record_tune_observations(ExecState& state, rt::RankCtx& ctx,
 
 /// Fetch a persistent slot (growing the site's request table as the
 /// compiler's generated code would), rebinding and starting it.
-mpi::Request& acquire_send_slot(ExecState& state, const SiteKey& site,
+mpi::Request& acquire_send_slot(ExecState& state, const SiteSlot& key,
                                 const mpi::Comm& comm, const void* buf,
                                 std::size_t count, const mpi::Datatype& dtype,
                                 int dest) {
-  auto& slots = state.channels[site];
+  auto& slots = state.channels[key];
   const std::size_t index = slots.send_used++;
   if (index < slots.send_slots.size()) {
     mpi::Request& slot = slots.send_slots[index];
@@ -171,11 +146,11 @@ mpi::Request& acquire_send_slot(ExecState& state, const SiteKey& site,
   return slots.send_slots.back();
 }
 
-mpi::Request& acquire_recv_slot(ExecState& state, const SiteKey& site,
+mpi::Request& acquire_recv_slot(ExecState& state, const SiteSlot& key,
                                 const mpi::Comm& comm, void* buf,
                                 std::size_t capacity,
                                 const mpi::Datatype& dtype, int source) {
-  auto& slots = state.channels[site];
+  auto& slots = state.channels[key];
   const std::size_t index = slots.recv_used++;
   if (index < slots.recv_slots.size()) {
     mpi::Request& slot = slots.recv_slots[index];
@@ -201,7 +176,7 @@ mpi::Request& acquire_recv_slot(ExecState& state, const SiteKey& site,
 /// state itself (acks, retransmission timers) lives in the epoch loop that
 /// runs at the synchronization point (core/reliability.cpp).
 void execute_reliable_mpi2(ExecState& state, rt::RankCtx& ctx,
-                           const Clauses& merged, const Env& env,
+                           const ClauseView& merged, const Env& env,
                            const SiteKey& site, std::size_t count,
                            bool send_active, bool recv_active,
                            int receiver_rank, int sender_rank,
@@ -241,7 +216,7 @@ void execute_reliable_mpi2(ExecState& state, rt::RankCtx& ctx,
       if (use_persistent) {
         // One slot per p2p execution per site between epochs, exactly like
         // acquire_recv_slot: setup is charged only when the table grows.
-        auto& slots = state.reliable_slots[site];
+        auto& slots = state.reliable_slots[&site];
         if (slots.recv_used++ >= slots.recv_slots) {
           ++slots.recv_slots;
           ctx.charge_compute(costs.persistent_setup);
@@ -251,7 +226,7 @@ void execute_reliable_mpi2(ExecState& state, rt::RankCtx& ctx,
         ctx.charge_compute(costs.recv_overhead);
       }
       ReliableRecv recv;
-      recv.site = site;
+      recv.site = &site;
       recv.pair_index = i;
       recv.src = sender_rank;  // directives run on the world communicator
       recv.transfer_id = state.reliable_rx_ids[sender_rank]++;
@@ -272,7 +247,7 @@ void execute_reliable_mpi2(ExecState& state, rt::RankCtx& ctx,
       ++state.stats.reliable_transfers;
       simnet::SimTime send_overhead = costs.send_overhead;
       if (use_persistent) {
-        auto& slots = state.reliable_slots[site];
+        auto& slots = state.reliable_slots[&site];
         if (slots.send_used++ >= slots.send_slots) {
           ++slots.send_slots;
           ctx.charge_compute(costs.persistent_setup);
@@ -304,7 +279,7 @@ void execute_reliable_mpi2(ExecState& state, rt::RankCtx& ctx,
                    ctx.clock().now() + costs.latency);
 
       ReliableSend send;
-      send.site = site;
+      send.site = &site;
       send.pair_index = i;
       send.dest = receiver_rank;
       send.transfer_id = state.reliable_tx_ids[receiver_rank]++;
@@ -398,9 +373,8 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
 
   ++state.stats.p2p_directives;
   throw_if_error(site_clauses.validate_p2p_site());
-  const Clauses merged = region != nullptr
-                             ? Clauses::merged(region->clauses, site_clauses)
-                             : site_clauses;
+  const ClauseView merged(region != nullptr ? &region->clauses : nullptr,
+                          site_clauses);
   throw_if_error(merged.validate_for_p2p());
 
   const Env env = make_env(merged);
@@ -535,11 +509,9 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
             // Slot identity includes the peer: a persistent request's
             // source/destination is fixed at init time, so each (site,
             // buffer index, peer) triple owns its own request table.
-            const SiteKey slot_key = site + "#" + std::to_string(i) + "@" +
-                                     std::to_string(sender_rank);
-            state.pending.mpi_requests.push_back(
-                acquire_recv_slot(state, slot_key, world, rbufs[i].data,
-                                  count, dtype, sender_rank));
+            state.pending.mpi_requests.push_back(acquire_recv_slot(
+                state, SiteSlot{&site, i, sender_rank}, world, rbufs[i].data,
+                count, dtype, sender_rank));
           } else {
             state.pending.mpi_requests.push_back(mpi::irecv(
                 world, rbufs[i].data, count, dtype, sender_rank,
@@ -579,11 +551,9 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
             continue;
           }
           if (use_persistent) {
-            const SiteKey slot_key = site + "#" + std::to_string(i) + "@" +
-                                     std::to_string(receiver_rank);
-            state.pending.mpi_requests.push_back(
-                acquire_send_slot(state, slot_key, world, sbufs[i].data,
-                                  count, dtype, receiver_rank));
+            state.pending.mpi_requests.push_back(acquire_send_slot(
+                state, SiteSlot{&site, i, receiver_rank}, world, sbufs[i].data,
+                count, dtype, receiver_rank));
           } else {
             state.pending.mpi_requests.push_back(mpi::isend(
                 world, sbufs[i].data, count, dtype, receiver_rank,
@@ -602,7 +572,7 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
       // remote flag put from a faster sender. One slot per possible source.
       // Key-coordinated allocation: ranks that never execute this site do
       // not disturb the offsets of those that do.
-      auto& shmem_site = state.shmem_sites[site];
+      auto& shmem_site = state.shmem_sites[&site];
       if (shmem_site.flags == nullptr) {
         shmem_site.flags = shmem::shared_flags(
             "cid.p2p." + site, static_cast<std::size_t>(ctx.nranks()));
@@ -653,8 +623,7 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
       // One window per (site, buffer pair); creation is collective — every
       // rank reaches the directive and exposes its own rbuf.
       for (std::size_t i = 0; i < pairs; ++i) {
-        const SiteKey window_key = site + "#" + std::to_string(i);
-        auto& cache = state.windows[window_key];
+        auto& cache = state.windows[SiteSlot{&site, i, 0}];
         void* expose_base = rbufs[i].data;
         const std::size_t expose_bytes = count * rbufs[i].element_size;
         if (!cache.win.valid() || cache.base != expose_base ||
@@ -737,7 +706,7 @@ void comm_parameters(const Clauses& clauses,
 
   ++state.stats.regions;
   detail::RegionImpl impl;
-  impl.site = detail::site_key(site);
+  impl.site = &detail::site_key(site);
   impl.clauses = state.region_stack.empty()
                      ? clauses
                      : Clauses::merged(state.region_stack.back()->clauses,
@@ -780,8 +749,8 @@ void comm_parameters(const Clauses& clauses,
   if (detail::trace_enabled()) {
     detail::record_trace_event({TraceEventKind::RegionDirective,
                                 trace_ctx.rank(), trace_begin,
-                                trace_ctx.clock().now(),
-                                detail::site_key(site), 0, 0});
+                                trace_ctx.clock().now(), *impl.site, 0,
+                                0});
   }
 }
 

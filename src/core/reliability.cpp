@@ -200,14 +200,14 @@ void run_reliable_epoch(ExecState& state, PendingOps& ops) {
     ++state.stats.timeouts;
     if (trace) {
       record_trace_event({TraceEventKind::Timeout, self, sp.attempt_sent_at,
-                          fired, sp.op->site, 0, 0});
+                          fired, *sp.op->site, 0, 0});
     }
     sp.t = std::max(sp.t, fired);
     if (sp.attempt >= sp.op->max_retries) {
       sp.done = true;
       ++state.stats.undelivered_pairs;
       state.delivery_report.lost.push_back(
-          {sp.op->site, sp.op->pair_index, sp.op->dest, sp.op->transfer_id,
+          {*sp.op->site, sp.op->pair_index, sp.op->dest, sp.op->transfer_id,
            /*sender_side=*/true, sp.attempt + 1});
       emit(sp.op->dest, sp.op->transfer_id, kReliableFinCtx, {}, sp.t);
       return;
@@ -240,7 +240,7 @@ void run_reliable_epoch(ExecState& state, PendingOps& ops) {
     ++state.stats.retransmits;
     if (trace) {
       record_trace_event({TraceEventKind::Retransmit, self, injection_start,
-                          delivery, sp.op->site, bytes, 1});
+                          delivery, *sp.op->site, bytes, 1});
     }
   };
 
@@ -296,10 +296,10 @@ void run_reliable_epoch(ExecState& state, PendingOps& ops) {
           if (tune::recording()) {
             // Clean round trip: injection-complete to ack arrival. Feeds the
             // rtt quantiles that tighten the retransmission timeout.
-            obs::observe("cid.reliability.rtt_seconds", sp.op->site, self,
+            obs::observe("cid.reliability.rtt_seconds", *sp.op->site, self,
                          e.available_at - sp.attempt_sent_at);
             if (real_loss) {
-              obs::observe("cid.reliability.wall_rtt_seconds", sp.op->site,
+              obs::observe("cid.reliability.wall_rtt_seconds", *sp.op->site,
                            self, net::wall_seconds() - sp.wall_sent_at);
             }
           }
@@ -331,7 +331,7 @@ void run_reliable_epoch(ExecState& state, PendingOps& ops) {
         rp.gave_up = true;
         ++state.stats.undelivered_pairs;
         state.delivery_report.lost.push_back(
-            {rp.op->site, rp.op->pair_index, rp.op->src, rp.op->transfer_id,
+            {*rp.op->site, rp.op->pair_index, rp.op->src, rp.op->transfer_id,
              /*sender_side=*/false, rp.next_attempt});
       }
       continue;
@@ -350,7 +350,7 @@ void run_reliable_epoch(ExecState& state, PendingOps& ops) {
         rp.gave_up = true;
         ++state.stats.undelivered_pairs;
         state.delivery_report.lost.push_back(
-            {rp.op->site, rp.op->pair_index, rp.op->src, rp.op->transfer_id,
+            {*rp.op->site, rp.op->pair_index, rp.op->src, rp.op->transfer_id,
              /*sender_side=*/false, rp.next_attempt + 1});
       }
       ++rp.next_attempt;

@@ -240,6 +240,58 @@ TEST(Clauses, BrokenStringClauseReportsAtEval) {
   EXPECT_FALSE(c.count_clause().eval(env).is_ok());
 }
 
+// Clause texts are parsed once per thread and then served from a cache; a
+// hit must be indistinguishable from a fresh parse.
+TEST(Clauses, SameTextBuiltTwiceAgrees) {
+  const ClauseExpr first("(rank+1)%nprocs");
+  const ClauseExpr second(std::string("(rank+1)%nprocs"));
+  EXPECT_EQ(first.describe(), second.describe());
+  Env env;
+  env.bind("rank", 5);
+  env.bind("nprocs", 6);
+  EXPECT_EQ(first.eval(env).value(), 0);
+  EXPECT_EQ(second.eval(env).value(), 0);
+}
+
+TEST(Clauses, BrokenTextReportsPinnedErrorOnMissAndHit) {
+  const char* const kText = "nprocs +* ) 7";  // used by no other test
+  const std::string kMessage =
+      "expected a number, variable or '(' at position 8 in expression "
+      "'nprocs +* ) 7'";
+  for (int build = 0; build < 2; ++build) {
+    const ClauseExpr clause(kText);
+    EXPECT_TRUE(clause.present());
+    const auto value = clause.eval(Env{});
+    ASSERT_FALSE(value.is_ok());
+    EXPECT_EQ(value.status().code(), cid::ErrorCode::ParseError);
+    EXPECT_EQ(value.status().message(), kMessage) << "build " << build;
+    EXPECT_EQ(clause.describe(), "<parse error: " + kMessage + ">");
+  }
+}
+
+TEST(Clauses, TextsPastTheCacheBoundStillParse) {
+  Env env;
+  env.bind("rank", 3);
+  for (std::size_t i = 0; i <= ClauseExpr::kParseCacheEntries; ++i) {
+    const ClauseExpr clause("rank*1000000+" + std::to_string(i));
+    ASSERT_EQ(clause.eval(env).value(), 3000000 + static_cast<ExprValue>(i));
+  }
+  const ClauseExpr late("rank*7 - 1");
+  EXPECT_EQ(late.describe(), ClauseExpr("rank*7 - 1").describe());
+  EXPECT_EQ(late.eval(env).value(), 20);
+  EXPECT_FALSE(ClauseExpr("rank +").eval(env).is_ok());
+}
+
+TEST(Clauses, EnvBindOverwritesExistingName) {
+  Env env;
+  env.bind("k", 1);
+  env.bind("rank", 4);
+  env.bind("k", 2);
+  EXPECT_EQ(env.lookup("k").value(), 2);
+  EXPECT_EQ(env.lookup("rank").value(), 4);
+  EXPECT_FALSE(env.lookup("missing").is_ok());
+}
+
 TEST(Clauses, KeywordRoundTrip) {
   for (Target t : {Target::Mpi2Side, Target::Mpi1Side, Target::Shmem}) {
     auto parsed = parse_target_keyword(target_keyword(t));

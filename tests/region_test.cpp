@@ -735,4 +735,243 @@ TEST(Directive, ShmemSiteSkippedBySomeRanks) {
   });
 }
 
+// --- clause inheritance through the executor -------------------------------
+//
+// Each test runs one region whose p2p omits (or overrides) one inheritable
+// clause, and first checks that the executor's in-place view of the p2p's
+// clauses agrees with Clauses::merged clause for clause.
+
+void expect_view_matches_merged(const Clauses& region, const Clauses& site) {
+  const Clauses merged = Clauses::merged(region, site);
+  const ClauseView view(&region, site);
+  const auto same = [](const ClauseExpr& a, const ClauseExpr& b) {
+    EXPECT_EQ(a.describe(), b.describe());
+  };
+  same(view.sender_clause(), merged.sender_clause());
+  same(view.receiver_clause(), merged.receiver_clause());
+  same(view.sendwhen_clause(), merged.sendwhen_clause());
+  same(view.receivewhen_clause(), merged.receivewhen_clause());
+  same(view.count_clause(), merged.count_clause());
+  same(view.max_comm_iter_clause(), merged.max_comm_iter_clause());
+  EXPECT_EQ(view.reliability_present(), merged.reliability_present());
+  same(view.reliability_timeout_clause(), merged.reliability_timeout_clause());
+  same(view.reliability_retries_clause(), merged.reliability_retries_clause());
+  EXPECT_EQ(view.target_clause(), merged.target_clause());
+  const auto same_buffers = [](const std::vector<BufferRef>& a,
+                               const std::vector<BufferRef>& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].data, b[i].data);
+  };
+  same_buffers(view.sbuf_list(), merged.sbuf_list());
+  same_buffers(view.rbuf_list(), merged.rbuf_list());
+  EXPECT_EQ(view.validate_for_p2p().message(),
+            merged.validate_for_p2p().message());
+  Env from_view;
+  view.bind_lets(from_view);
+  Env from_merged;
+  for (const auto& [name, value] : merged.bindings()) {
+    from_merged.bind(name, value);
+  }
+  for (const auto& [name, value] : merged.bindings()) {
+    EXPECT_EQ(from_view.lookup(name).value(), from_merged.lookup(name).value())
+        << name;
+  }
+}
+
+/// Runs `site` once inside a region with `region`'s clauses.
+void run_inherited(const Clauses& region, const Clauses& site) {
+  expect_view_matches_merged(region, site);
+  comm_parameters(region, [&](Region& r) { r.p2p(site); });
+}
+
+Clauses ring() {
+  return Clauses().sender("(rank-1+nprocs)%nprocs").receiver(
+      "(rank+1)%nprocs");
+}
+
+TEST(DirectiveInheritance, SenderReceiverFromRegion) {
+  spmd(4, [](RankCtx& ctx) {
+    int out[1] = {ctx.rank()};
+    int in[1] = {-1};
+    run_inherited(ring(), Clauses().sbuf(buf(out)).rbuf(buf(in)));
+    EXPECT_EQ(in[0], (ctx.rank() + 3) % 4);
+  });
+}
+
+TEST(DirectiveInheritance, SenderReceiverOverriddenBySite) {
+  spmd(4, [](RankCtx& ctx) {
+    int out[1] = {ctx.rank()};
+    int in[1] = {-1};
+    run_inherited(ring(), Clauses()
+                              .sender("(rank+1)%nprocs")
+                              .receiver("(rank-1+nprocs)%nprocs")
+                              .sbuf(buf(out))
+                              .rbuf(buf(in)));
+    EXPECT_EQ(in[0], (ctx.rank() + 1) % 4);
+  });
+}
+
+TEST(DirectiveInheritance, GuardsFromRegion) {
+  spmd(3, [](RankCtx& ctx) {
+    int out[1] = {ctx.rank() + 10};
+    int in[1] = {-1};
+    run_inherited(Clauses().sender("rank-1").receiver("rank+1").sendwhen(
+                      "rank==0").receivewhen("rank==1"),
+                  Clauses().sbuf(buf(out)).rbuf(buf(in)));
+    EXPECT_EQ(in[0], ctx.rank() == 1 ? 10 : -1);
+  });
+}
+
+TEST(DirectiveInheritance, GuardsOverriddenBySite) {
+  spmd(3, [](RankCtx& ctx) {
+    int out[1] = {ctx.rank() + 10};
+    int in[1] = {-1};
+    run_inherited(Clauses().sender("rank-1").receiver("rank+1").sendwhen(
+                      "rank==0").receivewhen("rank==1"),
+                  Clauses()
+                      .sendwhen("rank==1")
+                      .receivewhen("rank==2")
+                      .sbuf(buf(out))
+                      .rbuf(buf(in)));
+    EXPECT_EQ(in[0], ctx.rank() == 2 ? 11 : -1);
+  });
+}
+
+TEST(DirectiveInheritance, CountFromRegion) {
+  spmd(2, [](RankCtx&) {
+    int out[4] = {1, 2, 3, 4};
+    int in[4] = {-1, -1, -1, -1};
+    run_inherited(ring().count(2), Clauses().sbuf(buf(out)).rbuf(buf(in)));
+    EXPECT_EQ(in[1], 2);
+    EXPECT_EQ(in[2], -1);
+  });
+}
+
+TEST(DirectiveInheritance, CountOverriddenBySite) {
+  spmd(2, [](RankCtx&) {
+    int out[4] = {1, 2, 3, 4};
+    int in[4] = {-1, -1, -1, -1};
+    run_inherited(ring().count(2),
+                  Clauses().count("nprocs+1").sbuf(buf(out)).rbuf(buf(in)));
+    EXPECT_EQ(in[2], 3);
+    EXPECT_EQ(in[3], -1);
+  });
+}
+
+// max_comm_iter selects the persistent-request lowering, whose setup and
+// per-message costs differ from plain nonblocking calls; a p2p site may not
+// carry the clause itself.
+TEST(DirectiveInheritance, MaxCommIterFromRegion) {
+  const auto makespan = [](bool looping) {
+    return cid::rt::run(
+               2, MachineModel::cray_xk7_gemini(),
+               [&](RankCtx&) {
+                 double out[8] = {};
+                 double in[8] = {};
+                 Clauses region = ring();
+                 if (looping) region.max_comm_iter(3);
+                 for (int k = 0; k < 3; ++k) {
+                   run_inherited(region,
+                                 Clauses().sbuf(buf(out)).rbuf(buf(in)));
+                 }
+               })
+        .makespan();
+  };
+  EXPECT_NE(makespan(true), makespan(false));
+  EXPECT_THROW(spmd(2,
+                    [](RankCtx&) {
+                      double out[1] = {}, in[1] = {};
+                      comm_parameters(ring(), [&](Region& r) {
+                        r.p2p(Clauses().max_comm_iter(3).sbuf(buf(out)).rbuf(
+                            buf(in)));
+                      });
+                    }),
+               cid::CidError);
+}
+
+TEST(DirectiveInheritance, TargetFromRegion) {
+  spmd(2, [](RankCtx& ctx) {
+    double out[2] = {ctx.rank() + 0.25, 1.0};
+    double* in = cid::shmem::malloc_of<double>(2);
+    run_inherited(ring().target(Target::Shmem),
+                  Clauses().sbuf(buf(out)).rbuf(buf_n(in, 2)));
+    EXPECT_DOUBLE_EQ(in[0], (ctx.rank() + 1) % 2 + 0.25);
+    EXPECT_GT(comm_stats().shmem_puts, 0u);
+    EXPECT_EQ(comm_stats().mpi2_messages, 0u);
+  });
+}
+
+TEST(DirectiveInheritance, TargetOverriddenBySite) {
+  spmd(2, [](RankCtx& ctx) {
+    double out[2] = {ctx.rank() + 0.25, 1.0};
+    double* in = cid::shmem::malloc_of<double>(2);
+    run_inherited(
+        ring().target(Target::Shmem),
+        Clauses().target(Target::Mpi2Side).sbuf(buf(out)).rbuf(buf_n(in, 2)));
+    EXPECT_DOUBLE_EQ(in[0], (ctx.rank() + 1) % 2 + 0.25);
+    EXPECT_EQ(comm_stats().shmem_puts, 0u);
+    EXPECT_GT(comm_stats().mpi2_messages, 0u);
+  });
+}
+
+TEST(DirectiveInheritance, BuffersFromRegion) {
+  spmd(2, [](RankCtx& ctx) {
+    int out[1] = {ctx.rank() + 5};
+    int in[1] = {-1};
+    run_inherited(ring().sbuf(buf(out)).rbuf(buf(in)), Clauses());
+    EXPECT_EQ(in[0], (ctx.rank() + 1) % 2 + 5);
+  });
+}
+
+TEST(DirectiveInheritance, BuffersOverriddenBySite) {
+  spmd(2, [](RankCtx& ctx) {
+    int out[1] = {ctx.rank() + 5};
+    int in[1] = {-1};
+    int site_out[1] = {ctx.rank() + 50};
+    int site_in[1] = {-1};
+    run_inherited(ring().sbuf(buf(out)).rbuf(buf(in)),
+                  Clauses().sbuf(buf(site_out)).rbuf(buf(site_in)));
+    EXPECT_EQ(in[0], -1);
+    EXPECT_EQ(site_in[0], (ctx.rank() + 1) % 2 + 50);
+  });
+}
+
+// reliability is a comm_parameters-only clause; the pair moves together.
+TEST(DirectiveInheritance, ReliabilityFromRegion) {
+  spmd(2, [](RankCtx& ctx) {
+    int out[1] = {ctx.rank() + 7};
+    int in[1] = {-1};
+    run_inherited(ring().reliability(100, 3),
+                  Clauses().sbuf(buf(out)).rbuf(buf(in)));
+    EXPECT_EQ(in[0], (ctx.rank() + 1) % 2 + 7);
+    EXPECT_EQ(comm_stats().reliable_transfers, 1u);
+  });
+  EXPECT_THROW(spmd(2,
+                    [](RankCtx&) {
+                      int out[1] = {}, in[1] = {};
+                      comm_parameters(ring(), [&](Region& r) {
+                        r.p2p(Clauses().reliability(100, 3).sbuf(buf(out)).rbuf(
+                            buf(in)));
+                      });
+                    }),
+               cid::CidError);
+}
+
+TEST(DirectiveInheritance, SiteLetShadowsRegionLet) {
+  spmd(4, [](RankCtx& ctx) {
+    int out[1] = {ctx.rank()};
+    int from_region[1] = {-1};
+    int from_site[1] = {-1};
+    const Clauses region = Clauses()
+                               .sender("(rank-k+nprocs)%nprocs")
+                               .receiver("(rank+k)%nprocs")
+                               .let("k", 1);
+    run_inherited(region, Clauses().sbuf(buf(out)).rbuf(buf(from_region)));
+    run_inherited(region, Clauses().let("k", 2).sbuf(buf(out)).rbuf(
+                              buf(from_site)));
+    EXPECT_EQ(from_region[0], (ctx.rank() + 3) % 4);
+    EXPECT_EQ(from_site[0], (ctx.rank() + 2) % 4);
+  });
+}
+
 }  // namespace
