@@ -166,6 +166,7 @@ ExecState& ExecState::mine() {
   if (state == nullptr) {
     auto fresh = std::make_shared<ExecState>();
     fresh->world_ = &ctx.world();
+    fresh->world_comm = mpi::Comm::world();
     state = fresh.get();
     slot = std::move(fresh);
   }

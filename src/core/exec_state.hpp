@@ -227,6 +227,10 @@ class ExecState {
   /// Rank-local communication statistics (see core/stats.hpp).
   CommStats stats;
 
+  /// The world communicator, held here so directive executions borrow it
+  /// instead of copying the shared group handle each time.
+  mpi::Comm world_comm;
+
   /// Per-peer monotonic transfer ids for the reliability protocol. SPMD
   /// discipline makes the two sides of each ordered (src,dst) pair agree:
   /// the sender's tx counter for dst and the receiver's rx counter for src

@@ -436,7 +436,7 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
   // region lowers to plain nonblocking calls.
   const bool use_persistent =
       in_region && merged.max_comm_iter_clause().present();
-  const mpi::Comm world = mpi::Comm::world();
+  const mpi::Comm& world = state.world_comm;
 
   // --- cid::tune: measurement-driven lowering (docs/TUNING.md) ------------
   // With CID_TUNE=off (the default) `tuning` is false, `target(auto)`

@@ -1,7 +1,6 @@
 #include "mpi/request.hpp"
 
 #include <algorithm>
-#include <vector>
 
 #include "obs/obs.hpp"
 #include "rt/envelope.hpp"
@@ -55,32 +54,20 @@ rt::MatchKey key_for(const detail::RequestImpl& request,
   return key;
 }
 
-/// Keys of every posted incomplete receive, for indexed mailbox matching.
-std::vector<rt::MatchKey> posted_keys(
-    const std::vector<std::shared_ptr<detail::RequestImpl>>& posted) {
-  std::vector<rt::MatchKey> keys;
-  keys.reserve(posted.size());
-  for (const auto& request : posted) {
-    if (!request->complete) {
-      keys.push_back(key_for(*request, rt::FaultFilter::Clean));
-    }
-  }
-  return keys;
-}
-
-/// When every key pins (src, tag), the residual re-scan of the posted list
-/// is redundant: an envelope admitted by an exact key already field-matches
-/// the (incomplete) receive that produced the key — same channel, context,
-/// source and tag, and membership holds because the key's src came through
-/// the receive's own communicator. Skipping it turns the flat fan-in
-/// pattern (a root waiting on P-1 exact receives) from O(P^3) envelope
-/// matching into O(P^2). Wildcard receives keep the residual: kMatchAny
-/// admits envelopes from ranks outside the receive's communicator.
-bool all_exact(const std::vector<rt::MatchKey>& keys) noexcept {
-  for (const auto& key : keys) {
-    if (!key.exact()) return false;
-  }
-  return true;
+/// Whether extraction under `key` must also run the residual re-scan of the
+/// posted list. It need not when the key pins (src, tag): an envelope it
+/// admits already field-matches the (incomplete) receive that produced the
+/// key — same channel, context, source and tag — and membership holds
+/// because the key's src came through the receive's own communicator.
+/// Skipping it turns the flat fan-in pattern (a root waiting on P-1 exact
+/// receives) from O(P^3) envelope matching into O(P^2). Nor need it for a
+/// wildcard key whose communicator holds every world rank in world order:
+/// every admitted envelope then comes from a member. Other wildcard keys
+/// keep the residual: kMatchAny admits envelopes from ranks outside the
+/// receive's communicator.
+bool needs_residual(const rt::MatchKey& key, const Comm& comm,
+                    int nranks) noexcept {
+  return !key.exact() && !(comm.is_identity() && comm.size() == nranks);
 }
 
 }  // namespace
@@ -156,22 +143,34 @@ void Engine::deliver(rt::RankCtx& ctx, detail::RequestImpl& request,
   }
 }
 
+void Engine::build_keys(int nranks) {
+  keys_.clear();
+  keys_need_residual_ = false;
+  for (const auto& request : posted_) {
+    if (request->complete) continue;
+    keys_.push_back(key_for(*request, rt::FaultFilter::Clean));
+    keys_need_residual_ = keys_need_residual_ ||
+                          needs_residual(keys_.back(), request->comm, nranks);
+  }
+}
+
 void Engine::progress(rt::RankCtx& ctx) {
   // Message-driven matching, like an MPI progress engine: take arriving
   // envelopes one at a time (in arrival order) and hand each to the FIRST
   // posted incomplete receive it matches. Extracting the envelope and
   // choosing its receive atomically (per envelope) avoids the race where a
   // message arriving mid-sweep is claimed by a later posted receive after
-  // an earlier matching receive already scanned an empty queue.
+  // an earlier matching receive already scanned an empty queue. The keys
+  // change only when a delivery completes a receive.
   const rt::Mailbox::Residual residual = posted_residual();
-  for (;;) {
-    const std::vector<rt::MatchKey> keys = posted_keys(posted_);
-    if (keys.empty()) break;
+  build_keys(ctx.nranks());
+  while (!keys_.empty()) {
     auto envelope = ctx.mailbox().try_extract(
-        keys, all_exact(keys) ? nullptr : &residual);
+        keys_, keys_need_residual_ ? &residual : nullptr);
     if (!envelope) break;
     if (auto* posted = first_match(*envelope)) {
       deliver(ctx, *posted, *envelope);
+      build_keys(ctx.nranks());
     }
   }
   posted_.erase(std::remove_if(posted_.begin(), posted_.end(),
@@ -180,9 +179,9 @@ void Engine::progress(rt::RankCtx& ctx) {
 }
 
 void Engine::wait_any_progress(rt::RankCtx& ctx) {
-  const std::vector<rt::MatchKey> keys = posted_keys(posted_);
+  build_keys(ctx.nranks());
   const rt::Mailbox::Residual residual = posted_residual();
-  ctx.mailbox().wait_present(keys, all_exact(keys) ? nullptr : &residual);
+  ctx.mailbox().wait_present(keys_, keys_need_residual_ ? &residual : nullptr);
   progress(ctx);
 }
 
@@ -196,12 +195,14 @@ bool Engine::wait_complete_for(
     // the virtual-time timer fires at the deadline.
     const rt::MatchKey tombstone_key =
         key_for(*request, rt::FaultFilter::Faulted);
+    const bool tombstone_residual =
+        needs_residual(tombstone_key, request->comm, ctx.nranks());
     const rt::Mailbox::Residual fields_residual = [&](const rt::Envelope& e) {
       return envelope_fields_match(e, *request);
     };
     auto tombstone = ctx.mailbox().try_extract(
         std::span<const rt::MatchKey>(&tombstone_key, 1),
-        tombstone_key.exact() ? nullptr : &fields_residual);
+        tombstone_residual ? &fields_residual : nullptr);
     if (tombstone) {
       posted_.erase(std::remove(posted_.begin(), posted_.end(), request),
                     posted_.end());
@@ -209,13 +210,17 @@ bool Engine::wait_complete_for(
       ctx.clock().advance_to(deadline);
       return false;
     }
-    std::vector<rt::MatchKey> keys = posted_keys(posted_);
-    keys.push_back(tombstone_key);
+    // progress() left keys_ current: no delivery happened since its last
+    // rebuild.
     const rt::Mailbox::Residual residual = [&](const rt::Envelope& e) {
       if (e.faulted) return envelope_fields_match(e, *request);
       return first_match(e) != nullptr;
     };
-    ctx.mailbox().wait_present(keys, all_exact(keys) ? nullptr : &residual);
+    keys_.push_back(tombstone_key);
+    ctx.mailbox().wait_present(
+        keys_,
+        keys_need_residual_ || tombstone_residual ? &residual : nullptr);
+    keys_.pop_back();
   }
   if (request->complete_at <= deadline) return true;
   // The payload landed, but only after the deadline: the timer fired first.
@@ -230,15 +235,16 @@ void Engine::wait_complete(
       !request->active && !request->complete) {
     return;  // MPI: waiting on an inactive persistent request is a no-op
   }
+  const rt::Mailbox::Residual residual = posted_residual();
   for (;;) {
     progress(ctx);
     if (request->complete) return;
     // Block until something that could complete ANY posted receive arrives,
     // then re-run ordered matching. (Send requests complete at creation, so
-    // reaching here means `request` is a posted receive.)
-    const std::vector<rt::MatchKey> keys = posted_keys(posted_);
-    const rt::Mailbox::Residual residual = posted_residual();
-    ctx.mailbox().wait_present(keys, all_exact(keys) ? nullptr : &residual);
+    // reaching here means `request` is a posted receive; progress() left
+    // keys_ current.)
+    ctx.mailbox().wait_present(keys_,
+                               keys_need_residual_ ? &residual : nullptr);
   }
 }
 

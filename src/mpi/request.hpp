@@ -144,7 +144,15 @@ class Engine {
   /// membership and ordering check that MatchKeys alone cannot express.
   rt::Mailbox::Residual posted_residual() const;
 
+  /// Rebuild keys_ (one key per incomplete posted receive, in post order)
+  /// and keys_need_residual_.
+  void build_keys(int nranks);
+
   std::vector<std::shared_ptr<detail::RequestImpl>> posted_;
+  /// Mailbox keys of the incomplete posted receives, reused across calls.
+  std::vector<rt::MatchKey> keys_;
+  /// True when some key cannot skip posted_residual() (see request.cpp).
+  bool keys_need_residual_ = false;
   std::uint64_t next_post_order_ = 0;
   int next_window_id_ = 0;
 };

@@ -1,34 +1,33 @@
 // Per-rank mailbox: a mutex+condvar guarded arrival store with structured,
 // indexed matching.
 //
-// Envelopes live in per-(channel, context) buckets, ordered by a global
-// arrival sequence number (`seq`), with a per-(src, tag) FIFO sub-index
-// inside each bucket. Matching is expressed as a MatchKey — exact values or
-// wildcards for src/tag plus a fault-tombstone filter — so:
+// Every queued envelope lives in one recycled node that sits on two
+// seq-ordered doubly linked lists: its (channel, context) bucket's arrival
+// list and that bucket's per-(src, tag) FIFO. Matching is expressed as a
+// MatchKey — exact values or wildcards for src/tag plus a fault-tombstone
+// filter — so:
 //
-//  - the common exact-match extract is a hash lookup + front-of-queue pop
-//    instead of a linear std::function scan of the whole queue;
-//  - wildcard matches scan one bucket in arrival order, never unrelated
+//  - the common exact-match extract is a hash lookup + FIFO-head check, and
+//    every extraction is an O(1) unlink from both lists;
+//  - wildcard keys walk their bucket's arrival list once per search, testing
+//    all of that bucket's wildcard keys per node, never unrelated
 //    channels/contexts;
-//  - MPI's non-overtaking guarantee holds by construction: within a bucket
-//    both the arrival list and every (src, tag) sub-queue are seq-ordered,
-//    and multi-key searches always return the lowest-seq match across keys;
+//  - MPI's non-overtaking guarantee holds by construction: both lists are
+//    seq-ordered, and multi-key searches always return the lowest-seq match
+//    across keys;
 //  - blocking waits resume from a seq watermark after each wakeup (only
 //    newly arrived envelopes are examined — a rejected envelope is never
 //    rescanned within one wait, since keys are fixed for the call);
 //  - push() wakes a waiter only when the new envelope can match one of its
-//    registered keys; a push nobody could want costs no syscall.
-//
-// A generic predicate API remains for tests and exotic protocols; it scans
-// all buckets in global arrival order and wakes on every push.
+//    registered keys; a push nobody could want costs no syscall;
+//  - steady-state traffic allocates nothing: nodes recycle through a
+//    per-mailbox freelist, FIFO ends live in an open-addressing table, and
+//    a bucket stays in place when it drains.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
-#include <map>
-#include <memory_resource>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -80,7 +79,11 @@ struct MatchKey {
 
 class Mailbox {
  public:
-  using Predicate = std::function<bool(const Envelope&)>;
+  Mailbox() = default;
+  Mailbox(const Mailbox&) = delete;
+  Mailbox& operator=(const Mailbox&) = delete;
+  ~Mailbox();
+
   /// Optional refinement evaluated on key-admitted candidates only (e.g.
   /// communicator-membership checks). Must be deterministic for the duration
   /// of one call: a candidate it rejects is not re-examined within that call.
@@ -91,8 +94,6 @@ class Mailbox {
   /// here into its per-message sub-envelopes under one lock acquisition, in
   /// append order, so seq-based non-overtaking matches the unbatched path.
   void push(Envelope envelope);
-
-  // ---- Structured (indexed) matching: the hot paths ----------------------
 
   /// Remove and return the lowest-seq envelope admitted by any key (and the
   /// residual, when given); blocks until one arrives. Throws
@@ -137,14 +138,6 @@ class Mailbox {
   };
   std::optional<Header> peek(const MatchKey& key,
                              const Residual* residual = nullptr);
-
-  // ---- Generic predicate matching: tests / exotic protocols --------------
-
-  Envelope wait_extract(const Predicate& predicate);
-  std::optional<Envelope> try_extract(const Predicate& predicate);
-  void wait_present(const Predicate& predicate);
-  bool probe(const Predicate& predicate);
-  std::optional<Header> peek(const Predicate& predicate);
 
   /// Number of queued envelopes (diagnostics).
   std::size_t size() const;
@@ -192,25 +185,58 @@ class Mailbox {
   }
 
  private:
-  /// Envelope nodes in arrival order (seq is globally monotonic). pmr: map
-  /// nodes are the per-message allocation hot spot at scale, so they come
-  /// from the mailbox's pool resource and recycle within it.
-  using SeqMap = std::pmr::map<std::uint64_t, Envelope>;
+  struct Bucket;
 
-  /// Arrival store of one (channel, context).
-  struct Bucket {
-    explicit Bucket(std::pmr::memory_resource* memory)
-        : by_seq(memory), exact(memory) {}
-    /// Envelopes in arrival order.
-    SeqMap by_seq;
-    /// (src, tag) -> seqs in arrival order. Entries whose envelope was
-    /// extracted through another key are stale and skipped lazily.
-    std::pmr::unordered_map<std::uint64_t, std::pmr::deque<std::uint64_t>>
-        exact;
+  /// One queued envelope, linked into its bucket's arrival list and its
+  /// (src, tag) FIFO; both lists are ordered by seq.
+  struct Node {
+    Envelope envelope;
+    Bucket* bucket = nullptr;
+    Node* prev = nullptr;  ///< arrival list
+    Node* next = nullptr;
+    Node* fifo_prev = nullptr;  ///< (src, tag) FIFO
+    Node* fifo_next = nullptr;
   };
 
-  /// A registered blocking waiter, used by push() for targeted wakeups. An
-  /// empty key span means "wake on any arrival" (predicate waiters).
+  /// Ends of one (src, tag) FIFO.
+  struct Fifo {
+    Node* head = nullptr;
+    Node* tail = nullptr;
+  };
+
+  /// (src, tag) -> FIFO ends. Open addressing with linear probing and
+  /// backward-shift erase, so inserting and erasing entries allocates
+  /// nothing once the table has grown to the bucket's working set. A slot
+  /// is free when its FIFO is empty; an entry is erased as its FIFO empties.
+  class FifoIndex {
+   public:
+    Fifo* find(std::uint64_t id) noexcept;
+    /// The entry for `id`, inserted empty when absent.
+    Fifo& at(std::uint64_t id);
+    void erase(std::uint64_t id) noexcept;
+
+   private:
+    struct Slot {
+      std::uint64_t id = 0;
+      Fifo fifo;
+    };
+    std::size_t home(std::uint64_t id) const noexcept;
+    void grow();
+    std::vector<Slot> slots_;
+    std::size_t used_ = 0;
+  };
+
+  /// Arrival store of one (channel, context). Kept when it drains, so a
+  /// refill reuses its FIFO table.
+  struct Bucket {
+    Node* head = nullptr;  ///< lowest seq
+    Node* tail = nullptr;  ///< highest seq: pushes append here
+    FifoIndex fifos;
+    /// Search that last walked this bucket for wildcard keys (see find_any).
+    std::uint64_t walked_by = 0;
+  };
+
+  /// A registered blocking waiter, used by push() for targeted wakeups.
   struct Waiter {
     std::span<const MatchKey> keys;
   };
@@ -225,23 +251,19 @@ class Mailbox {
            static_cast<std::uint32_t>(tag);
   }
 
-  /// First (lowest-seq) admitted envelope with seq >= floor, or nullopt.
-  struct Found {
-    Bucket* bucket = nullptr;
-    SeqMap::iterator it;
-  };
-  std::optional<Found> find_in_bucket(Bucket& bucket, const MatchKey& key,
-                                      const Residual* residual,
-                                      std::uint64_t floor);
-  std::optional<Found> find_any(std::span<const MatchKey> keys,
-                                const Residual* residual,
-                                std::uint64_t floor);
-  std::optional<Found> find_predicate(const Predicate& predicate,
-                                      std::uint64_t floor);
+  /// Lowest-seq envelope with seq >= floor admitted by any key (and the
+  /// residual), or null. Exact keys take their FIFO; each bucket that
+  /// wildcard keys name is walked once, testing all of its wildcard keys
+  /// per node, and every walk stops at the best seq found so far.
+  Node* find_any(std::span<const MatchKey> keys, const Residual* residual,
+                 std::uint64_t floor);
 
-  /// Remove the found envelope from its bucket (and sub-index front) and
-  /// return it.
-  Envelope extract(Found found);
+  /// Queue one envelope (lock held); true when a waiter's key admits it.
+  bool enqueue(Envelope&& envelope);
+
+  /// Unlink the found envelope from both lists, recycle its node and return
+  /// the envelope.
+  Envelope extract(Node* node);
 
   /// Split an aggregate envelope into per-message sub-envelopes (one lock
   /// acquisition, one wakeup). Faulted aggregates fan out into faulted,
@@ -250,23 +272,21 @@ class Mailbox {
 
   void throw_if_poisoned() const;
 
-  /// Generic blocking loop shared by every wait_* entry point: repeatedly
-  /// run `search(floor)`, advancing the floor watermark past everything
-  /// already examined, and sleep between attempts. Returns the match.
-  template <typename Search>
-  Found wait_match(std::unique_lock<std::mutex>& lock,
-                   std::span<const MatchKey> waiter_keys,
-                   const Search& search);
+  /// Blocking search shared by wait_extract and wait_present: run
+  /// find_any, advancing the floor watermark past everything already
+  /// examined, and sleep between attempts. Returns the match.
+  Node* wait_match(std::unique_lock<std::mutex>& lock,
+                   std::span<const MatchKey> keys, const Residual* residual);
 
   mutable std::mutex mutex_;
   /// Scheduler-aware: a fiber waiting here parks instead of blocking its
   /// worker thread (see rt/sched.hpp).
   sched::WaitCv arrived_;
-  /// Backing pool for bucket node storage. Unsynchronized is safe: every
-  /// container mutation happens under mutex_. Declared before buckets_ so
-  /// the containers are destroyed while the pool is still alive.
-  std::pmr::unsynchronized_pool_resource pool_;
   std::unordered_map<std::uint64_t, Bucket> buckets_;
+  /// Recycled nodes (linked through Node::next).
+  Node* free_nodes_ = nullptr;
+  /// Stamp of the current find_any call, for Bucket::walked_by.
+  std::uint64_t searches_ = 0;
   std::vector<const Waiter*> waiters_;
   std::uint64_t next_seq_ = 0;
   std::size_t size_ = 0;

@@ -864,6 +864,64 @@ TEST(MpiComm, WildcardOnSplitReportsCommRanks) {
   });
 }
 
+/// Every member posts one kAnySource receive per other member on each of
+/// `comms` before sending its world rank to each of them; each status must
+/// name a distinct sender, as a comm rank, whose payload maps back to it.
+void expect_each_member_received_once(std::vector<mpi::Comm> comms,
+                                      int tag) {
+  const int my_world = cid::rt::current_ctx().rank();
+  std::vector<std::vector<int>> payloads;
+  std::vector<std::vector<mpi::Request>> recvs;
+  for (const auto& comm : comms) {
+    payloads.emplace_back(comm.size() - 1, -1);
+    recvs.emplace_back();
+    for (int& payload : payloads.back()) {
+      recvs.back().push_back(
+          mpi::irecv(comm, &payload, 1, mpi::kAnySource, tag));
+    }
+  }
+  std::vector<mpi::Request> sends;
+  for (const auto& comm : comms) {
+    for (int peer = 0; peer < comm.size(); ++peer) {
+      if (peer != comm.rank()) {
+        sends.push_back(mpi::isend(comm, &my_world, 1, peer, tag));
+      }
+    }
+  }
+  for (std::size_t c = 0; c < comms.size(); ++c) {
+    const auto& comm = comms[c];
+    std::vector<bool> seen(comm.size(), false);
+    for (std::size_t i = 0; i < recvs[c].size(); ++i) {
+      const auto status = mpi::wait(recvs[c][i]);
+      ASSERT_GE(status.source, 0);
+      ASSERT_LT(status.source, comm.size());
+      EXPECT_NE(status.source, comm.rank());
+      EXPECT_EQ(status.source, comm.comm_rank_of_world(payloads[c][i]));
+      EXPECT_FALSE(seen[status.source]) << "sender " << status.source;
+      seen[status.source] = true;
+    }
+  }
+  mpi::waitall(sends);
+}
+
+TEST(MpiComm, WildcardReceivesGetExactlyTheirSendersWithAndWithoutResidual) {
+  spmd(7, [](RankCtx& ctx) {
+    const auto world = mpi::Comm::world();
+    // World and a dup hold every world rank in world order, so the engine
+    // skips the residual for their wildcard keys; the reversed split holds
+    // every rank too but not in world order, so its keys keep it.
+    const auto dup = world.split(0, ctx.rank());
+    const auto reversed = world.split(0, -ctx.rank());
+    ASSERT_TRUE(dup.is_identity());
+    ASSERT_FALSE(reversed.is_identity());
+    expect_each_member_received_once({world}, 3);
+    expect_each_member_received_once({dup}, 3);
+    expect_each_member_received_once({reversed}, 3);
+    // All three posted at once on one tag: the contexts keep them apart.
+    expect_each_member_received_once({reversed, world, dup}, 4);
+  });
+}
+
 TEST(MpiComm, BarrierOnSubcommunicator) {
   cid::rt::run(4, MachineModel::cray_xk7_gemini(), [](RankCtx& ctx) {
     auto world = mpi::Comm::world();

@@ -6,9 +6,12 @@
 #include <atomic>
 #include <cstdint>
 #include <numeric>
+#include <chrono>
 #include <span>
+#include <thread>
 #include <vector>
 
+#include "rt/agg.hpp"
 #include "rt/arena.hpp"
 #include "rt/payload.hpp"
 #include "rt/runtime.hpp"
@@ -17,6 +20,15 @@ namespace {
 
 using cid::rt::RankCtx;
 using cid::simnet::MachineModel;
+
+/// Key admitting every clean point-to-point envelope on context 0 (the
+/// channel and context a default-constructed Envelope travels on).
+cid::rt::MatchKey any_message() {
+  cid::rt::MatchKey key;
+  key.src = cid::rt::kMatchAny;
+  key.tag = cid::rt::kMatchAny;
+  return key;
+}
 
 TEST(Runtime, RunsEveryRankExactlyOnce) {
   std::atomic<int> visits{0};
@@ -109,10 +121,7 @@ TEST(Runtime, ExceptionWhileWaitingOnMailboxUnblocks) {
                               }
                               // Rank 1 waits forever for a message that will
                               // never come; poisoning must wake it.
-                              ctx.mailbox().wait_extract(
-                                  [](const cid::rt::Envelope&) {
-                                    return true;
-                                  });
+                              ctx.mailbox().wait_extract(any_message());
                             }),
                std::runtime_error);
 }
@@ -137,8 +146,7 @@ TEST(Mailbox, DeliversInArrivalOrder) {
       }
     } else {
       for (int i = 0; i < 5; ++i) {
-        auto envelope = ctx.mailbox().wait_extract(
-            [](const cid::rt::Envelope&) { return true; });
+        auto envelope = ctx.mailbox().wait_extract(any_message());
         EXPECT_EQ(envelope.tag, i);
       }
     }
@@ -155,11 +163,11 @@ TEST(Mailbox, PredicateSelectsAcrossQueue) {
         ctx.world().mailbox(1).push(std::move(envelope));
       }
     } else {
-      auto nine = ctx.mailbox().wait_extract(
-          [](const cid::rt::Envelope& e) { return e.tag == 9; });
+      cid::rt::MatchKey tag_nine = any_message();
+      tag_nine.tag = 9;
+      auto nine = ctx.mailbox().wait_extract(tag_nine);
       EXPECT_EQ(nine.tag, 9);
-      auto seven = ctx.mailbox().wait_extract(
-          [](const cid::rt::Envelope&) { return true; });
+      auto seven = ctx.mailbox().wait_extract(any_message());
       EXPECT_EQ(seven.tag, 7);  // arrival order among the rest
       EXPECT_EQ(ctx.mailbox().size(), 1u);
     }
@@ -168,8 +176,7 @@ TEST(Mailbox, PredicateSelectsAcrossQueue) {
 
 TEST(Mailbox, TryExtractReturnsEmptyWhenNoMatch) {
   cid::rt::run(1, MachineModel::zero(), [](RankCtx& ctx) {
-    auto result = ctx.mailbox().try_extract(
-        [](const cid::rt::Envelope&) { return true; });
+    auto result = ctx.mailbox().try_extract(any_message());
     EXPECT_FALSE(result.has_value());
   });
 }
@@ -478,6 +485,165 @@ TEST(MatchKey, ResidualRefinesKeyMatchesWithoutBreakingOrder) {
   });
 }
 
+TEST(MatchKey, CleanWildcardSkipsTombstoneAtFifoHead) {
+  cid::rt::run(1, MachineModel::zero(), [](RankCtx& ctx) {
+    using cid::rt::Channel;
+    // One (src, tag) FIFO: tombstone, clean, clean.
+    push_self(ctx, 1, 5, Channel::MpiPointToPoint, 0, /*faulted=*/true);
+    push_self(ctx, 1, 5, Channel::MpiPointToPoint, 0);  // seq 1
+    push_self(ctx, 1, 5, Channel::MpiPointToPoint, 0);  // seq 2
+
+    // A clean wildcard passes over the tombstone at the FIFO head and takes
+    // the envelope behind it, unlinking it from the middle of the FIFO.
+    cid::rt::MatchKey any_src;
+    any_src.src = cid::rt::kMatchAny;
+    any_src.tag = 5;
+    auto clean = ctx.mailbox().try_extract(any_src);
+    ASSERT_TRUE(clean.has_value());
+    EXPECT_EQ(clean->seq, 1u);
+    EXPECT_FALSE(clean->faulted);
+
+    // Both neighbours are still linked: the tombstone for a faulted exact
+    // key, then the last clean envelope for a clean one.
+    cid::rt::MatchKey pinned;
+    pinned.src = 1;
+    pinned.tag = 5;
+    pinned.faults = cid::rt::FaultFilter::Faulted;
+    auto tombstone = ctx.mailbox().try_extract(pinned);
+    ASSERT_TRUE(tombstone.has_value());
+    EXPECT_EQ(tombstone->seq, 0u);
+    EXPECT_TRUE(tombstone->faulted);
+    pinned.faults = cid::rt::FaultFilter::Clean;
+    auto last = ctx.mailbox().try_extract(pinned);
+    ASSERT_TRUE(last.has_value());
+    EXPECT_EQ(last->seq, 2u);
+    EXPECT_EQ(ctx.mailbox().size(), 0u);
+  });
+}
+
+TEST(MatchKey, WildcardKeysSharingABucketTakeGlobalArrivalOrder) {
+  cid::rt::run(1, MachineModel::zero(), [](RankCtx& ctx) {
+    using cid::rt::Channel;
+    // Three ANY_SOURCE keys on one bucket (one walk tests all of them per
+    // node) plus one on another bucket; the order of the keys must not
+    // decide which envelope wins.
+    push_self(ctx, 1, 6, Channel::MpiPointToPoint, 0);  // seq 0
+    push_self(ctx, 2, 5, Channel::MpiPointToPoint, 0);  // seq 1
+    push_self(ctx, 3, 4, Channel::Internal, 3);         // seq 2
+    push_self(ctx, 4, 7, Channel::MpiPointToPoint, 0);  // seq 3
+    push_self(ctx, 5, 4, Channel::MpiPointToPoint, 0);  // seq 4
+    std::vector<cid::rt::MatchKey> keys(4);
+    for (auto& key : keys) key.src = cid::rt::kMatchAny;
+    keys[0].tag = 5;
+    keys[1].channel = Channel::Internal;
+    keys[1].context = 3;
+    keys[1].tag = 4;
+    keys[2].tag = 4;
+    keys[3].tag = 6;
+    std::vector<std::uint64_t> seqs;
+    while (auto e = ctx.mailbox().try_extract(
+               std::span<const cid::rt::MatchKey>(keys))) {
+      seqs.push_back(e->seq);
+    }
+    EXPECT_EQ(seqs, (std::vector<std::uint64_t>{0, 1, 2, 4}));
+    EXPECT_EQ(ctx.mailbox().size(), 1u);  // tag 7: no key
+  });
+}
+
+TEST(Mailbox, DrainedAndRefilledKeepsArrivalOrder) {
+  cid::rt::run(1, MachineModel::zero(), [](RankCtx& ctx) {
+    using cid::rt::Channel;
+    // Fill, drain to empty, refill: the second round runs on recycled nodes
+    // and the bucket's emptied FIFO table, and must order like the first.
+    for (int round = 0; round < 2; ++round) {
+      for (int tag : {4, 2, 4, 3}) {
+        push_self(ctx, round, tag, Channel::MpiPointToPoint, 0);
+      }
+      std::vector<int> tags;
+      std::vector<std::uint64_t> seqs;
+      while (auto e = ctx.mailbox().try_extract(any_message())) {
+        EXPECT_EQ(e->src, round);
+        tags.push_back(e->tag);
+        seqs.push_back(e->seq);
+      }
+      EXPECT_EQ(tags, (std::vector<int>{4, 2, 4, 3})) << "round " << round;
+      EXPECT_TRUE(std::is_sorted(seqs.begin(), seqs.end()));
+      EXPECT_EQ(ctx.mailbox().size(), 0u);
+    }
+    // Exact keys find refilled FIFOs too, in arrival order.
+    push_self(ctx, 7, 1, Channel::MpiPointToPoint, 0);
+    push_self(ctx, 8, 1, Channel::MpiPointToPoint, 0);
+    push_self(ctx, 7, 1, Channel::MpiPointToPoint, 0);
+    cid::rt::MatchKey pinned;
+    pinned.src = 7;
+    pinned.tag = 1;
+    auto first = ctx.mailbox().try_extract(pinned);
+    auto second = ctx.mailbox().try_extract(pinned);
+    ASSERT_TRUE(first.has_value() && second.has_value());
+    EXPECT_LT(first->seq, second->seq);
+    EXPECT_FALSE(ctx.mailbox().try_extract(pinned).has_value());
+    EXPECT_EQ(ctx.mailbox().size(), 1u);
+  });
+}
+
+TEST(Mailbox, WokenWildcardWaitTakesFirstMatchAfterRejectedPushes) {
+  // Rank 0 blocks on a wildcard key whose residual rejects tag 7. Rank 1's
+  // tag-7 pushes wake it (the key admits them) without a match, so each
+  // wakeup resumes at the floor. The two acceptable envelopes then land
+  // under one lock (an aggregate splits inside push), so the last search
+  // finds both past its floor, walking back from the tail, and must take
+  // the earlier one.
+  cid::rt::RunOptions threads;
+  threads.scheduler = cid::rt::sched::Mode::kThreads;
+  cid::rt::run(
+      2, MachineModel::zero(),
+      [](RankCtx& ctx) {
+        using cid::rt::Channel;
+        if (ctx.rank() == 1) {
+          cid::rt::Mailbox& box = ctx.world().mailbox(0);
+          const auto push = [&box](int tag, Channel channel) {
+            cid::rt::Envelope envelope;
+            envelope.src = 1;
+            envelope.tag = tag;
+            envelope.channel = channel;
+            box.push(std::move(envelope));
+          };
+          for (int i = 0; i < 3; ++i) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            push(7, Channel::MpiPointToPoint);  // admitted, then rejected
+            push(8, Channel::Internal);         // no key admits it
+          }
+          std::vector<std::byte> wire;
+          cid::rt::agg::append(wire, /*tag=*/8, /*context=*/0, {});
+          cid::rt::agg::append(wire, /*tag=*/9, /*context=*/0, {});
+          cid::rt::Envelope batch;
+          batch.src = 2;
+          batch.channel = Channel::Internal;
+          batch.context = cid::rt::agg::kContext;
+          batch.payload = cid::rt::Payload(std::move(wire));
+          box.push(std::move(batch));
+          return;
+        }
+        const cid::rt::Mailbox::Residual not_tag7 =
+            [](const cid::rt::Envelope& e) { return e.tag != 7; };
+        auto got = ctx.mailbox().wait_extract(any_message(), &not_tag7);
+        EXPECT_EQ(got.src, 2);
+        EXPECT_EQ(got.tag, 8);
+        // Nothing was lost or reordered: the rejected envelopes, then the
+        // later acceptable one, then the unrelated channel's three.
+        while (ctx.mailbox().size() < 7) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        std::vector<int> tags;
+        while (auto e = ctx.mailbox().try_extract(any_message())) {
+          tags.push_back(e->tag);
+        }
+        EXPECT_EQ(tags, (std::vector<int>{7, 7, 7, 9}));
+        EXPECT_EQ(ctx.mailbox().size(), 3u);
+      },
+      threads);
+}
+
 TEST(World, SharedObjectReturnsSameInstance) {
   cid::rt::run(4, MachineModel::zero(), [](RankCtx& ctx) {
     auto object = ctx.world().shared_object<std::atomic<int>>("test.counter");
@@ -557,8 +723,7 @@ void ring_program(RankCtx& ctx) {
   envelope.tag = 7;
   envelope.available_at = ctx.clock().now() + 2e-6;
   ctx.world().mailbox(next).push(std::move(envelope));
-  auto got = ctx.mailbox().wait_extract(
-      [](const cid::rt::Envelope&) { return true; });
+  auto got = ctx.mailbox().wait_extract(any_message());
   ctx.clock().advance_to(got.available_at);
   ctx.barrier();
 }
@@ -613,8 +778,7 @@ TEST(Sched, YieldLetsBusyPollersMakeProgress) {
           }
         } else {
           while (true) {
-            auto got = ctx.mailbox().try_extract(
-                [](const cid::rt::Envelope&) { return true; });
+            auto got = ctx.mailbox().try_extract(any_message());
             if (got.has_value()) break;
             sched::yield();
           }
@@ -664,8 +828,7 @@ TEST(Sched, PoisonWakesMailboxAndBarrierWaitersTogether) {
             if (ctx.rank() % 2 == 0) {
               ctx.barrier();
             } else {
-              ctx.mailbox().wait_extract(
-                  [](const cid::rt::Envelope&) { return true; });
+              ctx.mailbox().wait_extract(any_message());
             }
           },
           options),
@@ -731,6 +894,61 @@ TEST(Arena, EnvelopeChurnReusesNodes) {
   }
   const auto after = arena.stats();
   EXPECT_GE(after.node_reuses, before.node_reuses + 32);
+}
+
+TEST(Arena, BufferReleasedOnAnotherThreadIsReused) {
+  auto& arena = cid::rt::PayloadArena::global();
+  cid::ByteBuffer buffer;
+  std::thread([&] { buffer = arena.acquire(1000); }).join();
+  const std::byte* const data = buffer.data();
+  std::thread([&] {
+    const auto before = arena.stats();
+    arena.release(std::move(buffer));
+    cid::ByteBuffer again = arena.acquire(1000);
+    const auto after = arena.stats();
+    EXPECT_EQ(again.data(), data);  // the same capacity, not a fresh one
+    EXPECT_EQ(after.releases, before.releases + 1);
+    EXPECT_EQ(after.reuses, before.reuses + 1);
+    arena.release(std::move(again));
+  }).join();
+}
+
+TEST(Arena, ExitingThreadReturnsItsCacheToGlobalBins) {
+  auto& arena = cid::rt::PayloadArena::global();
+  constexpr int kBuffers = 16;  // 16 x 1 KiB fills one thread's front bin
+  constexpr int kPayloads = 64;
+  const auto before = arena.stats();
+  std::vector<const std::byte*> parked;
+  std::thread([&] {
+    std::vector<cid::ByteBuffer> buffers;
+    for (int i = 0; i < kBuffers; ++i) {
+      buffers.push_back(arena.acquire(1024));
+      parked.push_back(buffers.back().data());
+    }
+    for (auto& buffer : buffers) arena.release(std::move(buffer));
+    // Payload nodes park in the same front; the thread exits with both full.
+    std::vector<cid::rt::Payload> payloads;
+    for (int i = 0; i < kPayloads; ++i) {
+      payloads.emplace_back(cid::ByteBuffer(16));
+    }
+  }).join();
+  const auto exited = arena.stats();
+  // The exited thread's counts are folded in exactly.
+  EXPECT_EQ(exited.acquires, before.acquires + kBuffers);
+  EXPECT_EQ(exited.releases, before.releases + kBuffers + kPayloads);
+  EXPECT_EQ(exited.node_acquires, before.node_acquires + kPayloads);
+  EXPECT_GE(exited.retained_bytes, std::uint64_t{kBuffers} * 1024);
+  // A fresh thread finds the drained buffers in the global bins.
+  std::thread([&] {
+    std::vector<cid::ByteBuffer> again;
+    for (int i = 0; i < kBuffers; ++i) {
+      again.push_back(arena.acquire(1024));
+      EXPECT_NE(std::find(parked.begin(), parked.end(), again.back().data()),
+                parked.end());
+    }
+    for (auto& buffer : again) arena.release(std::move(buffer));
+  }).join();
+  EXPECT_EQ(arena.stats().reuses, exited.reuses + kBuffers);
 }
 
 }  // namespace
