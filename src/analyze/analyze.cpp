@@ -1,8 +1,9 @@
-// The analysis driver: scans the source into a directive tree, recovers the
-// declaration model, then walks the tree the way the translator walks it —
-// same clause inheritance, same synchronization placement — dispatching the
-// match, buffer and type passes and performing the sync-placement checks
-// itself (they need sibling context the per-directive passes do not have).
+// The analysis driver: scans the source into the directive tree the
+// translator lowers (clause inheritance already resolved), recovers the
+// declaration model, then walks the tree with the translator's
+// synchronization placement, dispatching the match, buffer and type passes
+// and performing the sync-placement checks itself (they need sibling
+// context the per-directive passes do not have).
 #include <algorithm>
 #include <cctype>
 #include <string>
@@ -106,10 +107,11 @@ class Walker {
 
   /// Clause-value checks on a region directive: place_sync/target keywords
   /// (CID-S032), max_comm_iter positivity (CID-S032), conflicts with the
-  /// enclosing region (CID-S033) and reliability constraints (CID-S035).
+  /// enclosing region `parent` (CID-S033) and reliability constraints
+  /// (CID-S035).
   void check_region_clauses(const DirectiveNode& node,
-                            const core::ParsedDirective* inherited,
-                            const core::ParsedDirective& merged) {
+                            const DirectiveNode* parent) {
+    const core::ParsedDirective& merged = node.resolved;
     if (const auto* clause = node.directive.find("place_sync")) {
       auto parsed = core::parse_sync_placement_keyword(clause->args[0]);
       if (!parsed.is_ok()) {
@@ -132,8 +134,8 @@ class Walker {
                   "; the region would execute no communication iterations");
         }
       }
-      if (inherited != nullptr) {
-        if (const auto* outer = inherited->find("max_comm_iter");
+      if (parent != nullptr) {
+        if (const auto* outer = parent->resolved.find("max_comm_iter");
             outer != nullptr && outer->args[0] != clause->args[0]) {
           ctx_.report.add(
               "CID-S033", Severity::Warning, node.line,
@@ -187,10 +189,10 @@ class Walker {
     }
   }
 
-  /// Walk one sibling sequence (the file top level, or a region body).
+  /// Walk one sibling sequence: the file top level, or the body of the
+  /// region `parent`.
   void sequence(const std::vector<DirectiveNode>& nodes,
-                const core::ParsedDirective* inherited,
-                std::vector<InFlight>& inflight) {
+                const DirectiveNode* parent, std::vector<InFlight>& inflight) {
     std::vector<PendingSync> pending;
     std::size_t previous_end = std::string::npos;
 
@@ -208,13 +210,8 @@ class Walker {
         }
       }
 
-      const core::ParsedDirective merged =
-          inherited == nullptr
-              ? node.directive
-              : translate::merge_directives(*inherited, node.directive);
-
       if (is_region(node)) {
-        check_region_clauses(node, inherited, merged);
+        check_region_clauses(node, parent);
 
         const core::SyncPlacement placement = placement_of(node);
         const bool defers =
@@ -256,7 +253,7 @@ class Walker {
         }
 
         const std::size_t fresh_begin = inflight.size();
-        sequence(node.children, &merged, inflight);
+        sequence(node.children, &node, inflight);
 
         std::vector<InFlight> fresh(inflight.begin() + fresh_begin,
                                     inflight.end());
@@ -268,13 +265,11 @@ class Walker {
                placement == core::SyncPlacement::BeginNextParamRegion});
         }
       } else {
-        const bool usable =
-            detail::check_required_clauses(ctx_, node, merged);
-        if (usable) {
-          detail::check_match_and_counts(ctx_, node, merged);
-          detail::check_buffer_types(ctx_, node, merged);
-          detail::check_p2p_buffers(ctx_, node, merged, inflight,
-                                    /*append=*/inherited != nullptr);
+        if (detail::check_required_clauses(ctx_, node)) {
+          detail::check_match_and_counts(ctx_, node);
+          detail::check_buffer_types(ctx_, node);
+          detail::check_p2p_buffers(ctx_, node, inflight,
+                                    /*append=*/parent != nullptr);
         }
         if (const auto* clause = node.directive.find("target")) {
           auto parsed = core::parse_target_keyword(clause->args[0]);
@@ -285,48 +280,36 @@ class Walker {
                                 parsed.status().message());
           }
         }
-        // Directives nested inside a p2p body (unusual, but the scanner
-        // models it) inherit the same surrounding region.
-        sequence(node.children, inherited, inflight);
       }
       previous_end = node.node_end;
     }
   }
 };
 
-/// Classify a scan issue by its message: the scanner produces a closed set
-/// of structural messages, everything else is the pragma parser speaking.
+/// A scan issue as a diagnostic, under the id the scanner gave it.
 void add_scan_issue(Report& report, const translate::ScanIssue& issue) {
-  const std::string& message = issue.status.message();
-  const char* id = "CID-P001";
+  const std::string_view id = issue.id;
   std::string hint;
-  if (message.find("continuation") != std::string::npos) {
-    id = "CID-P004";
+  if (id == "CID-P001") hint = "see docs/DIRECTIVES.md for the clause grammar";
+  if (id == "CID-P004") {
     hint = "every '\\'-continued line must be followed by another line";
-  } else if (message == "directive has no attached statement or block" ||
-             message == "unbalanced braces after directive" ||
-             message == "directive statement is not terminated") {
-    id = "CID-P002";
-  } else {
-    hint = "see docs/DIRECTIVES.md for the clause grammar";
   }
-  report.add(id, Severity::Error, issue.line, issue.column, message,
-             std::move(hint));
+  report.add(issue.id, Severity::Error, issue.line, issue.column,
+             issue.status.message(), std::move(hint));
 }
 
 }  // namespace
 
 Report analyze_source(std::string_view source, const Options& options) {
   Report report;
-  const std::vector<unsigned char> mask = translate::code_mask(source);
-  const SourceModel model = SourceModel::scan(source);
   const DirectiveTree tree = translate::scan_directives(source);
+  const SourceModel model = SourceModel::scan(source, tree.mask);
 
   for (const translate::ScanIssue& issue : tree.issues) {
     add_scan_issue(report, issue);
   }
 
-  AnalysisContext ctx{source, mask, model, options, report};
+  AnalysisContext ctx{source, tree.mask, model, options, report};
   Walker(ctx).run(tree.roots);
   report.sort();
   return report;

@@ -103,8 +103,8 @@ std::string guard_text(const core::ParsedDirective& merged, const char* name) {
 }  // namespace
 
 void check_p2p_buffers(AnalysisContext& ctx, const DirectiveNode& node,
-                       const core::ParsedDirective& merged,
                        std::vector<InFlight>& inflight, bool append) {
+  const core::ParsedDirective& merged = node.resolved;
   if (merged.kind != core::DirectiveKind::CommP2P) return;
   const RawClause* sbuf = merged.find("sbuf");
   const RawClause* rbuf = merged.find("rbuf");
@@ -214,8 +214,8 @@ void check_gap_references(AnalysisContext& ctx, std::size_t begin,
   }
 }
 
-void check_buffer_types(AnalysisContext& ctx, const DirectiveNode& node,
-                        const core::ParsedDirective& merged) {
+void check_buffer_types(AnalysisContext& ctx, const DirectiveNode& node) {
+  const core::ParsedDirective& merged = node.resolved;
   bool reported_pointer = false;
   bool reported_nested = false;
   bool reported_unregistered = false;

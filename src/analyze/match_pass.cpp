@@ -63,8 +63,8 @@ SweptExpr prepare(AnalysisContext& ctx, const DirectiveNode& node,
 
 }  // namespace
 
-bool check_required_clauses(AnalysisContext& ctx, const DirectiveNode& node,
-                            const core::ParsedDirective& merged) {
+bool check_required_clauses(AnalysisContext& ctx, const DirectiveNode& node) {
+  const core::ParsedDirective& merged = node.resolved;
   const auto* sbuf = merged.find("sbuf");
   const auto* rbuf = merged.find("rbuf");
   bool usable = true;
@@ -120,8 +120,8 @@ bool check_required_clauses(AnalysisContext& ctx, const DirectiveNode& node,
   return usable;
 }
 
-void check_match_and_counts(AnalysisContext& ctx, const DirectiveNode& node,
-                            const core::ParsedDirective& merged) {
+void check_match_and_counts(AnalysisContext& ctx, const DirectiveNode& node) {
+  const core::ParsedDirective& merged = node.resolved;
   // --- count / extent agreement (works even with symbolic guards) ----------
   const auto* count_clause = merged.find("count");
   const auto* sbuf = merged.find("sbuf");

@@ -14,7 +14,7 @@ namespace cid::analyze::detail {
 
 struct AnalysisContext {
   std::string_view source;
-  const std::vector<unsigned char>& mask;  ///< translate::code_mask(source)
+  const std::vector<unsigned char>& mask;  ///< the scanned tree's code mask
   const SourceModel& model;
   const Options& options;
   Report& report;
@@ -43,17 +43,15 @@ bool references_identifier(
 
 /// Rank-symbolic match analysis + count checks + dead-directive detection
 /// for one comm_p2p (CID-M010..M015, CID-S034) or comm_collective
-/// (root-range check). `merged` is the directive with inherited clauses.
+/// (root-range check). Every pass reads the node's resolved clauses.
 void check_match_and_counts(AnalysisContext& ctx,
-                            const translate::DirectiveNode& node,
-                            const core::ParsedDirective& merged);
+                            const translate::DirectiveNode& node);
 
 /// Required clauses after inheritance (CID-P005) and sbuf/rbuf list-length
 /// agreement (CID-P006). Returns false when the directive is too malformed
 /// for the other passes.
 bool check_required_clauses(AnalysisContext& ctx,
-                            const translate::DirectiveNode& node,
-                            const core::ParsedDirective& merged);
+                            const translate::DirectiveNode& node);
 
 /// Buffer race checks for one comm_p2p: rbuf already in flight (CID-B020),
 /// sbuf/rbuf self-alias on a rank that both sends and receives (CID-B021),
@@ -63,7 +61,6 @@ bool check_required_clauses(AnalysisContext& ctx,
 /// standalone directives synchronize immediately and leave nothing behind.
 void check_p2p_buffers(AnalysisContext& ctx,
                        const translate::DirectiveNode& node,
-                       const core::ParsedDirective& merged,
                        std::vector<InFlight>& inflight, bool append);
 
 /// CID-B023: statements in [begin,end) touching buffers whose sync was
@@ -75,7 +72,6 @@ void check_gap_references(AnalysisContext& ctx, std::size_t begin,
 /// Reflection rules surfaced at lint time (CID-T040..T042) for every
 /// composite buffer of the directive.
 void check_buffer_types(AnalysisContext& ctx,
-                        const translate::DirectiveNode& node,
-                        const core::ParsedDirective& merged);
+                        const translate::DirectiveNode& node);
 
 }  // namespace cid::analyze::detail

@@ -20,8 +20,8 @@ bool ident_char(char c) {
 
 /// Source with comments and string/char literals blanked to spaces
 /// (newlines preserved so offsets and line numbers survive).
-std::string blank_non_code(std::string_view source) {
-  const std::vector<unsigned char> mask = translate::code_mask(source);
+std::string blank_non_code(std::string_view source,
+                           const std::vector<unsigned char>& mask) {
   std::string clean(source);
   for (std::size_t i = 0; i < clean.size(); ++i) {
     if (mask[i] == 0 && clean[i] != '\n') clean[i] = ' ';
@@ -163,9 +163,10 @@ std::optional<long long> SourceModel::extent_of(
   return it->second;
 }
 
-SourceModel SourceModel::scan(std::string_view source) {
+SourceModel SourceModel::scan(std::string_view source,
+                              const std::vector<unsigned char>& mask) {
   SourceModel model;
-  const std::string clean = blank_non_code(source);
+  const std::string clean = blank_non_code(source, mask);
   const std::string_view text = clean;
 
   // --- struct definitions --------------------------------------------------

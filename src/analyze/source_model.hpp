@@ -52,8 +52,10 @@ struct SourceModel {
   /// (bare identifier only; indexed or address-of expressions are unknown).
   std::optional<long long> extent_of(const std::string& buffer_text) const;
 
-  /// Scan a source buffer (comments and strings are ignored).
-  static SourceModel scan(std::string_view source);
+  /// Scan a source buffer; `mask` is its translate::code_mask (comments and
+  /// strings are ignored).
+  static SourceModel scan(std::string_view source,
+                          const std::vector<unsigned char>& mask);
 };
 
 /// Base identifier of a buffer clause argument: `&ev[3*p]` -> "ev",

@@ -12,8 +12,11 @@
 //   rule B  analyze proves a never-completing receive (CID-M012, with no
 //           muddying CID-M010/M011/M015 on the same file) yet no explored
 //           schedule deadlocks: the dynamic model missed a proven defect.
-//   rule C  translate rejects a program analyze accepted without errors:
-//           the front ends disagree on the language.
+//   rule C  translate rejects a program analyze accepted without errors.
+//           Both walk the one tree of translate::scan_directives, so they
+//           agree on which directives exist and how clauses inherit; the
+//           rule catches a lowering check (a clause the translator cannot
+//           open-code) that analyze does not mirror.
 //
 // Symbolic programs (analyze skips, explore branches) are exercised but
 // exempt from rule A — that division of labor is the design, not a bug.

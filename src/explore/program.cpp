@@ -50,7 +50,8 @@ struct Builder {
     return static_cast<int>(program.site_lines.size()) - 1;
   }
 
-  void add_p2p(const DirectiveNode& node, const ParsedDirective& merged) {
+  void add_p2p(const DirectiveNode& node) {
+    const ParsedDirective& merged = node.resolved;
     Op op;
     op.site = new_site(node.line);
     op.line = node.line;
@@ -87,8 +88,8 @@ struct Builder {
     open.ops.push_back(std::move(op));
   }
 
-  void add_collective(const DirectiveNode& node,
-                      const ParsedDirective& merged) {
+  void add_collective(const DirectiveNode& node) {
+    const ParsedDirective& merged = node.resolved;
     Op op;
     op.collective = true;
     op.site = new_site(node.line);
@@ -125,17 +126,13 @@ struct Builder {
     open.ops.push_back(std::move(op));
   }
 
-  /// Walk the children of a region (or the root list). A nested
-  /// comm_parameters closes the surrounding scope: its transfers complete at
-  /// its own end, before anything posted after it.
-  void walk(const std::vector<DirectiveNode>& nodes,
-            const ParsedDirective* inherited) {
+  /// Walk the children of a region (or the root list, `in_region` false).
+  /// A nested comm_parameters closes the surrounding scope: its transfers
+  /// complete at its own end, before anything posted after it.
+  void walk(const std::vector<DirectiveNode>& nodes, bool in_region) {
     for (const DirectiveNode& node : nodes) {
-      ParsedDirective merged =
-          inherited != nullptr
-              ? translate::merge_directives(*inherited, node.directive)
-              : node.directive;
-      switch (node.directive.kind) {
+      const ParsedDirective& merged = node.resolved;
+      switch (merged.kind) {
         case DirectiveKind::CommParameters: {
           flush();
           if (merged.find("reliability") != nullptr) {
@@ -152,7 +149,7 @@ struct Builder {
                            " modeled as END_PARAM_REGION");
           }
           const int before = static_cast<int>(program.scopes.size());
-          walk(node.children, &merged);
+          walk(node.children, /*in_region=*/true);
           flush();
           if (static_cast<int>(program.scopes.size()) > before &&
               program.scopes[before].line == 0) {
@@ -161,14 +158,14 @@ struct Builder {
           break;
         }
         case DirectiveKind::CommP2P:
-          add_p2p(node, merged);
+          add_p2p(node);
           if (open.line == 0) open.line = node.line;
-          if (inherited == nullptr) flush();  // standalone: own sync scope
+          if (!in_region) flush();  // standalone: own sync scope
           break;
         case DirectiveKind::CommCollective:
-          add_collective(node, merged);
+          add_collective(node);
           if (open.line == 0) open.line = node.line;
-          if (inherited == nullptr) flush();
+          if (!in_region) flush();
           break;
       }
     }
@@ -178,15 +175,10 @@ struct Builder {
 }  // namespace
 
 Result<Program> build_program(std::string_view source) {
-  translate::DirectiveTree tree = translate::scan_directives(source);
-  if (!tree.issues.empty()) {
-    const translate::ScanIssue& first = tree.issues.front();
-    return Status(ErrorCode::ParseError,
-                  "line " + std::to_string(first.line) + ": " +
-                      first.status.message());
-  }
+  const translate::DirectiveTree tree = translate::scan_directives(source);
+  if (!tree.issues.empty()) return tree.issues.front().located();
   Builder builder;
-  builder.walk(tree.roots, nullptr);
+  builder.walk(tree.roots, /*in_region=*/false);
   builder.flush();
   return std::move(builder.program);
 }

@@ -1,10 +1,11 @@
 // The directive program model executed by the schedule-space explorer.
 //
 // cid::explore does not interpret arbitrary C++ — it interprets the
-// *communication intent*: the tree of #pragma comm_* directives, with clause
-// inheritance resolved, flattened into the sequence of synchronization
-// scopes the translator would generate (post every transfer of the scope,
-// one consolidated completion at its end). Everything the static analyzer
+// *communication intent*: the directive tree of translate::scan_directives,
+// the same tree the translator lowers and the analyzer checks (clause
+// inheritance resolved there, once), flattened into the sequence of
+// synchronization scopes the translator would generate (post every transfer
+// of the scope, one consolidated completion at its end). Everything the static analyzer
 // must skip as symbolic — guards, peers and roots referencing variables
 // other than rank/nprocs — becomes an explicit nondeterministic decision
 // point for the explorer instead.
@@ -63,10 +64,10 @@ struct Program {
   int symbolic_clauses = 0;        ///< ops carrying >= 1 symbolic clause
 };
 
-/// Build the program from annotated source. Fails on scan-level structural
-/// errors; directives that are unusable (missing required clauses, unparsable
-/// expressions) are skipped with a note — the static analyzer already
-/// reports those as CID-P0xx errors.
+/// Build the program from annotated source. Fails, like the translator, on
+/// the first scan issue ("line N: <message>"); directives that are unusable
+/// (missing required clauses, unparsable expressions) are skipped with a
+/// note — the static analyzer already reports those as CID-P0xx errors.
 Result<Program> build_program(std::string_view source);
 
 }  // namespace cid::explore

@@ -69,6 +69,10 @@ std::size_t find_block_end(std::string_view text, std::size_t open) {
   return std::string_view::npos;
 }
 
+namespace {
+
+/// Position just past the ';' terminating the statement starting at `start`
+/// (same literal/comment skipping as find_block_end). npos when not found.
 std::size_t find_statement_end(std::string_view text, std::size_t start) {
   LexState state = LexState::Code;
   int parens = 0;
@@ -88,6 +92,8 @@ std::size_t find_statement_end(std::string_view text, std::size_t start) {
   return std::string_view::npos;
 }
 
+}  // namespace
+
 int line_of(std::string_view text, std::size_t pos) {
   int line = 1;
   for (std::size_t i = 0; i < pos && i < text.size(); ++i) {
@@ -102,6 +108,10 @@ int column_of(std::string_view text, std::size_t pos) {
   return column;
 }
 
+namespace {
+
+/// Is there a comm directive pragma starting at the beginning of the line
+/// containing position `i`? (`i` must point at the '#'.)
 bool is_pragma_start(std::string_view text, std::size_t i) {
   // i must point at '#' that begins (after whitespace) a line.
   std::size_t j = i;
@@ -114,6 +124,8 @@ bool is_pragma_start(std::string_view text, std::size_t i) {
          cid::starts_with(rest, "pragma comm_p2p") ||
          cid::starts_with(rest, "pragma comm_collective");
 }
+
+}  // namespace
 
 std::vector<unsigned char> code_mask(std::string_view text) {
   std::vector<unsigned char> mask(text.size(), 0);
@@ -151,6 +163,9 @@ std::vector<unsigned char> code_mask(std::string_view text) {
   return mask;
 }
 
+namespace {
+
+/// Textual clause inheritance: `inner`'s clauses layered over `outer`'s.
 core::ParsedDirective merge_directives(const core::ParsedDirective& outer,
                                        const core::ParsedDirective& inner) {
   core::ParsedDirective merged;
@@ -162,32 +177,39 @@ core::ParsedDirective merge_directives(const core::ParsedDirective& outer,
   return merged;
 }
 
-namespace {
-
 class Scanner {
  public:
-  explicit Scanner(std::string_view source)
-      : source_(source), mask_(code_mask(source)) {}
+  explicit Scanner(std::string_view source) : source_(source) {
+    tree_.mask = code_mask(source);
+  }
 
-  DirectiveTree run() {
-    DirectiveTree tree;
-    scan_range(0, source_.size(), tree.roots, tree.issues);
-    return tree;
+  DirectiveTree run() && {
+    scan_range(0, source_.size(), tree_.roots, nullptr);
+    return std::move(tree_);
   }
 
  private:
-  void add_issue(std::vector<ScanIssue>& issues, std::size_t pos,
-                 Status status) {
-    issues.push_back({line_of(source_, pos), column_of(source_, pos),
-                      std::move(status)});
+  /// A directive starts at `i`: a '#' in live code opening a comm pragma.
+  bool directive_at(std::size_t i) const {
+    return source_[i] == '#' && tree_.mask[i] != 0 &&
+           is_pragma_start(source_, i);
+  }
+
+  void add_issue(const char* id, std::size_t pos, Status status) {
+    tree_.issues.push_back(
+        {id, line_of(source_, pos), column_of(source_, pos), std::move(status)});
+  }
+
+  void add_structural(std::size_t pos, std::string message) {
+    add_issue("CID-P002", pos,
+              Status(ErrorCode::ParseError, std::move(message)));
   }
 
   /// Collect the pragma line starting at `i` (joining backslash
   /// continuations); sets `cursor` just past it. Returns false (with an
   /// issue) when a continuation runs off the end of the range.
   bool collect_pragma(std::size_t i, std::size_t end, std::string& text,
-                      std::size_t& cursor, bool& continued,
-                      std::vector<ScanIssue>& issues) {
+                      std::size_t& cursor, bool& continued) {
     cursor = i;
     text.clear();
     continued = false;
@@ -203,7 +225,7 @@ class Scanner {
         text += ' ';
         continued = true;
         if (at_end) {
-          add_issue(issues, i,
+          add_issue("CID-P004", i,
                     Status(ErrorCode::ParseError,
                            "unterminated '\\' continuation in pragma"));
           return false;
@@ -215,14 +237,15 @@ class Scanner {
     }
   }
 
+  /// Scan every directive in [begin, end) into `nodes`; `enclosing` is the
+  /// innermost enclosing region's resolved clauses (nullptr at top level).
   void scan_range(std::size_t begin, std::size_t end,
                   std::vector<DirectiveNode>& nodes,
-                  std::vector<ScanIssue>& issues) {
+                  const core::ParsedDirective* enclosing) {
     std::size_t i = begin;
     while (i < end) {
-      if (source_[i] == '#' && mask_[i] != 0 &&
-          is_pragma_start(source_, i)) {
-        i = scan_directive(i, end, nodes, issues);
+      if (directive_at(i)) {
+        i = scan_directive(i, end, nodes, enclosing);
         continue;
       }
       ++i;
@@ -233,37 +256,38 @@ class Scanner {
   /// position to continue from.
   std::size_t scan_directive(std::size_t i, std::size_t end,
                              std::vector<DirectiveNode>& nodes,
-                             std::vector<ScanIssue>& issues) {
+                             const core::ParsedDirective* enclosing) {
     std::string pragma_text;
     std::size_t cursor = 0;
     bool continued = false;
-    if (!collect_pragma(i, end, pragma_text, cursor, continued, issues)) {
-      return end;
-    }
+    if (!collect_pragma(i, end, pragma_text, cursor, continued)) return end;
 
     auto parsed = core::parse_pragma(pragma_text);
     if (!parsed.is_ok()) {
-      add_issue(issues, i, parsed.status());
+      add_issue("CID-P001", i, parsed.status());
       return cursor;  // keep scanning after the bad pragma line
     }
 
     DirectiveNode node;
     node.directive = std::move(parsed).take();
+    node.resolved = enclosing != nullptr
+                        ? merge_directives(*enclosing, node.directive)
+                        : node.directive;
     node.pragma_continued = continued;
     node.line = line_of(source_, i);
     node.column = column_of(source_, i);
     node.pragma_begin = i;
+    const bool region =
+        node.directive.kind == core::DirectiveKind::CommParameters;
 
-    // Locate the attached statement or block (same rules as the translator).
+    // Locate the attached statement or block.
     std::size_t body_begin = cursor;
     while (body_begin < end &&
            std::isspace(static_cast<unsigned char>(source_[body_begin]))) {
       ++body_begin;
     }
     if (body_begin >= end) {
-      add_issue(issues, i,
-                Status(ErrorCode::ParseError,
-                       "directive has no attached statement or block"));
+      add_structural(i, "directive has no attached statement or block");
       return end;
     }
 
@@ -271,30 +295,25 @@ class Scanner {
       const std::size_t close = find_block_end(
           source_.substr(0, end), body_begin);
       if (close == std::string_view::npos) {
-        add_issue(issues, body_begin,
-                  Status(ErrorCode::ParseError,
-                         "unbalanced braces after directive"));
+        add_structural(body_begin, "unbalanced braces after directive");
         return end;
       }
       node.body_is_block = true;
       node.body_begin = body_begin + 1;
       node.body_end = close;
       node.node_end = close + 1;
-    } else if (source_[body_begin] == '#' && mask_[body_begin] != 0 &&
-               is_pragma_start(source_, body_begin) &&
-               node.directive.kind == core::DirectiveKind::CommParameters) {
+    } else if (region && directive_at(body_begin)) {
       // A comm_parameters followed directly by another directive: the inner
       // directive (with its block) is the region body.
       std::vector<DirectiveNode> inner;
-      const std::size_t before = issues.size();
+      const std::size_t before = tree_.issues.size();
       const std::size_t after =
-          scan_directive(body_begin, end, inner, issues);
+          scan_directive(body_begin, end, inner, &node.resolved);
       if (inner.empty()) {
         // The nested directive failed to scan; its issue is already recorded.
-        if (issues.size() == before) {
-          add_issue(issues, body_begin,
-                    Status(ErrorCode::ParseError,
-                           "directive has no attached statement or block"));
+        if (tree_.issues.size() == before) {
+          add_structural(body_begin,
+                         "directive has no attached statement or block");
         }
         return after;
       }
@@ -308,9 +327,7 @@ class Scanner {
       const std::size_t semi =
           find_statement_end(source_.substr(0, end), body_begin);
       if (semi == std::string_view::npos) {
-        add_issue(issues, body_begin,
-                  Status(ErrorCode::ParseError,
-                         "directive statement is not terminated"));
+        add_structural(body_begin, "directive statement is not terminated");
         return end;
       }
       node.body_begin = body_begin;
@@ -318,14 +335,31 @@ class Scanner {
       node.node_end = semi;
     }
 
-    scan_range(node.body_begin, node.body_end, node.children, issues);
+    if (region) {
+      scan_range(node.body_begin, node.body_end, node.children,
+                 &node.resolved);
+    } else {
+      // The body of a comm_p2p is its overlapped computation and that of a
+      // comm_collective its post-collective statement: plain code, never
+      // communication. A directive there is rejected, not lowered.
+      std::vector<DirectiveNode> nested;
+      scan_range(node.body_begin, node.body_end, nested, &node.resolved);
+      for (const DirectiveNode& inner : nested) {
+        add_structural(inner.pragma_begin,
+                       "directive nested inside a " +
+                           std::string(core::directive_name(
+                               node.directive.kind)) +
+                           " body; only a comm_parameters region may "
+                           "enclose directives");
+      }
+    }
     const std::size_t node_end = node.node_end;
     nodes.push_back(std::move(node));
     return node_end;
   }
 
   std::string_view source_;
-  std::vector<unsigned char> mask_;
+  DirectiveTree tree_;
 };
 
 }  // namespace

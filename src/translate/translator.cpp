@@ -1,7 +1,5 @@
 #include "translate/translator.hpp"
 
-#include <map>
-#include <optional>
 #include <vector>
 
 #include "common/strings.hpp"
@@ -19,8 +17,8 @@ using core::SyncPlacement;
 using core::Target;
 
 // ---------------------------------------------------------------------------
-// Clause utilities (lexical helpers and the textual clause merge live in
-// translate/scan.cpp, shared with the static analyzer)
+// Clause utilities (the directive tree, with inheritance resolved, comes
+// from translate/scan.cpp, shared with the analyzer and the explorer)
 // ---------------------------------------------------------------------------
 
 std::string clause_arg(const ParsedDirective& directive,
@@ -45,7 +43,9 @@ class Translator {
       : source_(source), options_(options) {}
 
   Result<Translation> run() {
-    auto body = translate_range(0, source_.size(), nullptr);
+    const DirectiveTree tree = scan_directives(source_);
+    if (!tree.issues.empty()) return tree.issues.front().located();
+    auto body = translate_range(0, source_.size(), tree.roots, nullptr);
     if (!body.is_ok()) return body.status();
     Translation out;
     out.source = std::move(body).take();
@@ -61,8 +61,6 @@ class Translator {
 
  private:
   struct RegionContext {
-    ParsedDirective clauses;
-    Target target = Target::Mpi2Side;
     std::string requests_var;  ///< MPI request vector in scope
     std::string comm_var;
     bool used_mpi2 = false;
@@ -79,156 +77,34 @@ class Translator {
     bool at_next_begin;     ///< BEGIN_NEXT_PARAM_REGION vs END_ADJ_*
   };
 
-  /// Translate source_[begin, end); `region` is the innermost enclosing
-  /// comm_parameters context (nullptr at top level).
+  /// Splice source_[begin, end): bytes between `nodes` are copied verbatim,
+  /// each node is replaced by its generated code. `region` is the innermost
+  /// enclosing comm_parameters context (nullptr at top level).
   Result<std::string> translate_range(std::size_t begin, std::size_t end,
+                                      const std::vector<DirectiveNode>& nodes,
                                       RegionContext* region) {
     std::string out;
     std::size_t i = begin;
-    while (i < end) {
-      if (source_[i] == '#' && is_pragma_start(source_, i)) {
-        auto handled = handle_directive(i, end, region, out);
-        if (!handled.is_ok()) return handled.status();
-        i = handled.value();
-        continue;
-      }
-      out += source_[i];
-      ++i;
+    for (const DirectiveNode& node : nodes) {
+      out.append(source_.substr(i, node.pragma_begin - i));
+      auto code = node.directive.kind == DirectiveKind::CommParameters
+                      ? emit_region(node)
+                  : node.directive.kind == DirectiveKind::CommCollective
+                      ? emit_collective(node, region)
+                      : emit_p2p(node, region);
+      if (!code.is_ok()) return code.status();
+      out += std::move(code).take();
+      i = node.node_end;
     }
+    out.append(source_.substr(i, end - i));
     return out;
   }
 
-  /// Parse and translate the directive whose '#' is at `i`; append generated
-  /// code to `out` and return the index just past the directive's block.
-  Result<std::size_t> handle_directive(std::size_t i, std::size_t end,
-                                       RegionContext* region,
-                                       std::string& out) {
-    // Collect the pragma line (with backslash continuations).
-    std::size_t cursor = i;
-    std::string pragma_text;
-    for (;;) {
-      std::size_t eol = source_.find('\n', cursor);
-      if (eol == std::string_view::npos || eol > end) eol = end;
-      std::string_view line = source_.substr(cursor, eol - cursor);
-      cursor = eol < end ? eol + 1 : end;
-      std::string_view trimmed = cid::trim(line);
-      if (!trimmed.empty() && trimmed.back() == '\\') {
-        pragma_text += trimmed.substr(0, trimmed.size() - 1);
-        pragma_text += ' ';
-      } else {
-        pragma_text += trimmed;
-        break;
-      }
-    }
-
-    auto parsed = core::parse_pragma(pragma_text);
-    if (!parsed.is_ok()) {
-      return Status(parsed.status().code(),
-                    "line " + std::to_string(line_of(source_, i)) + ": " +
-                        parsed.status().message());
-    }
-
-    // Locate the attached statement or block.
-    std::size_t body_begin = cursor;
-    while (body_begin < end &&
-           (source_[body_begin] == ' ' || source_[body_begin] == '\t' ||
-            source_[body_begin] == '\n' || source_[body_begin] == '\r')) {
-      ++body_begin;
-    }
-    if (body_begin >= end) {
-      return Status(ErrorCode::ParseError,
-                    "line " + std::to_string(line_of(source_, i)) +
-                        ": directive has no attached statement or block");
-    }
-
-    std::size_t body_content_begin;
-    std::size_t body_content_end;
-    std::size_t after_body;
-    if (source_[body_begin] == '{') {
-      const std::size_t close = find_block_end(source_, body_begin);
-      if (close == std::string_view::npos || close > end) {
-        return Status(ErrorCode::ParseError,
-                      "line " + std::to_string(line_of(source_, body_begin)) +
-                          ": unbalanced braces after directive");
-      }
-      body_content_begin = body_begin + 1;
-      body_content_end = close;
-      after_body = close + 1;
-    } else if (source_[body_begin] == '#' &&
-               is_pragma_start(source_, body_begin) &&
-               parsed.value().kind == DirectiveKind::CommParameters) {
-      // A comm_parameters followed directly by another directive: treat the
-      // inner directive (with its block) as the region body.
-      auto inner_end = directive_extent(body_begin, end);
-      if (!inner_end.is_ok()) return inner_end.status();
-      body_content_begin = body_begin;
-      body_content_end = inner_end.value();
-      after_body = inner_end.value();
-    } else {
-      const std::size_t semi = find_statement_end(source_, body_begin);
-      if (semi == std::string_view::npos || semi > end) {
-        return Status(ErrorCode::ParseError,
-                      "line " + std::to_string(line_of(source_, body_begin)) +
-                          ": directive statement is not terminated");
-      }
-      body_content_begin = body_begin;
-      body_content_end = semi;
-      after_body = semi;
-    }
-
-    if (parsed.value().kind == DirectiveKind::CommParameters) {
-      auto code = emit_region(parsed.value(), body_content_begin,
-                              body_content_end, region);
-      if (!code.is_ok()) return code.status();
-      out += std::move(code).take();
-    } else if (parsed.value().kind == DirectiveKind::CommCollective) {
-      auto code = emit_collective(parsed.value(), body_content_begin,
-                                  body_content_end, region);
-      if (!code.is_ok()) return code.status();
-      out += std::move(code).take();
-    } else {
-      auto code = emit_p2p(parsed.value(), body_content_begin,
-                           body_content_end, region);
-      if (!code.is_ok()) return code.status();
-      out += std::move(code).take();
-    }
-    return after_body;
-  }
-
-  /// End index (exclusive) of the directive starting at `i` including its
-  /// attached block — used when a region's body is a bare nested directive.
-  Result<std::size_t> directive_extent(std::size_t i, std::size_t end) {
-    std::size_t eol = i;
-    for (;;) {
-      eol = source_.find('\n', eol);
-      if (eol == std::string_view::npos || eol >= end) {
-        return Status(ErrorCode::ParseError,
-                      "directive at end of file without a block");
-      }
-      std::string_view line_start = source_.substr(i, eol - i);
-      if (!line_start.empty() && cid::trim(line_start).back() == '\\') {
-        ++eol;
-        continue;
-      }
-      break;
-    }
-    std::size_t body = eol + 1;
-    while (body < end && std::isspace(static_cast<unsigned char>(
-                             source_[body]))) {
-      ++body;
-    }
-    if (body < end && source_[body] == '{') {
-      const std::size_t close = find_block_end(source_, body);
-      if (close == std::string_view::npos) {
-        return Status(ErrorCode::ParseError, "unbalanced nested block");
-      }
-      return close + 1;
-    }
-    const std::size_t semi = find_statement_end(source_, body);
-    if (semi == std::string_view::npos) {
-      return Status(ErrorCode::ParseError, "unterminated nested statement");
-    }
-    return semi;
+  /// The directive's body text (overlapped computation of a comm_p2p, the
+  /// post-collective statement of a comm_collective).
+  std::string body_text(const DirectiveNode& node) const {
+    return std::string(
+        source_.substr(node.body_begin, node.body_end - node.body_begin));
   }
 
   // --- code generation ----------------------------------------------------
@@ -308,22 +184,14 @@ class Translator {
     return out;
   }
 
-  Result<std::string> emit_region(const ParsedDirective& directive,
-                                  std::size_t body_begin,
-                                  std::size_t body_end,
-                                  RegionContext* parent) {
+  Result<std::string> emit_region(const DirectiveNode& node) {
     ++summary_.parameter_regions;
     const int id = next_id_++;
 
     RegionContext region;
-    region.clauses = parent != nullptr
-                         ? merge_directives(parent->clauses, directive)
-                         : directive;
-    region.clauses.kind = DirectiveKind::CommParameters;
-    region.target = directive_target(region.clauses);
     region.requests_var = "cid_reqs_" + std::to_string(id);
     region.comm_var = "cid_comm_" + std::to_string(id);
-    region.reliable = region.clauses.find("reliability") != nullptr;
+    region.reliable = node.resolved.find("reliability") != nullptr;
     region.region_var = "cid_region_" + std::to_string(id);
 
     if (region.reliable) {
@@ -332,9 +200,10 @@ class Translator {
       // lives in the runtime, so the region is lowered through the embedded
       // API instead of open-coded message passing; nested comm_p2p
       // directives become Region::p2p calls on the lambda's Region.
-      auto builder = clauses_builder(region.clauses);
+      auto builder = clauses_builder(node.resolved);
       if (!builder.is_ok()) return builder.status();
-      auto body = translate_range(body_begin, body_end, &region);
+      auto body = translate_range(node.body_begin, node.body_end,
+                                  node.children, &region);
       if (!body.is_ok()) return body.status();
       std::string out;
       out += "{ " + annotate("comm_parameters region " + std::to_string(id) +
@@ -353,11 +222,13 @@ class Translator {
       return out;
     }
 
-    auto body = translate_range(body_begin, body_end, &region);
+    auto body = translate_range(node.body_begin, node.body_end, node.children,
+                                &region);
     if (!body.is_ok()) return body.status();
 
+    // place_sync is read off the region's own clauses, never inherited.
     SyncPlacement placement = SyncPlacement::EndParamRegion;
-    if (const RawClause* clause = directive.find("place_sync")) {
+    if (const RawClause* clause = node.directive.find("place_sync")) {
       auto parsed = core::parse_sync_placement_keyword(clause->args[0]);
       if (!parsed.is_ok()) return parsed.status();
       placement = parsed.value();
@@ -440,9 +311,7 @@ class Translator {
   /// cid::mpi collectives on a group communicator. Only the (default) MPI
   /// two-sided target is supported by generated code; retarget via the
   /// embedded API for SHMEM collectives.
-  Result<std::string> emit_collective(const ParsedDirective& directive,
-                                      std::size_t body_begin,
-                                      std::size_t body_end,
+  Result<std::string> emit_collective(const DirectiveNode& node,
                                       RegionContext* region) {
     ++summary_.p2p_directives;  // counted with the point-to-point directives
     const int id = next_id_++;
@@ -453,10 +322,7 @@ class Translator {
                     "supported (reliability covers point-to-point transfers)");
     }
 
-    const ParsedDirective merged =
-        region != nullptr ? merge_directives(region->clauses, directive)
-                          : directive;
-
+    const ParsedDirective& merged = node.resolved;
     const Target target = directive_target(merged);
     if (target != Target::Mpi2Side) {
       return Status(ErrorCode::UnsupportedTarget,
@@ -521,7 +387,7 @@ class Translator {
     }
     out += "}\n";
 
-    const std::string body(source_.substr(body_begin, body_end - body_begin));
+    const std::string body = body_text(node);
     if (!cid::trim(body).empty()) {
       out += "{ " + annotate("post-collective statement") + "\n" + body +
              "\n}\n";
@@ -530,15 +396,12 @@ class Translator {
     return out;
   }
 
-  Result<std::string> emit_p2p(const ParsedDirective& directive,
-                               std::size_t body_begin, std::size_t body_end,
+  Result<std::string> emit_p2p(const DirectiveNode& node,
                                RegionContext* region) {
     ++summary_.p2p_directives;
     const int id = next_id_++;
 
-    const ParsedDirective merged =
-        region != nullptr ? merge_directives(region->clauses, directive)
-                          : directive;
+    const ParsedDirective& merged = node.resolved;
 
     // Static validation mirroring Clauses::validate_for_p2p.
     const auto sbufs = clause_args(merged, "sbuf");
@@ -575,12 +438,9 @@ class Translator {
       }
       count = "::cid::trt::smallest_extent(" + args + ")";
     }
-    const Target target = region != nullptr && merged.find("target") == nullptr
-                              ? region->target
-                              : directive_target(merged);
+    const Target target = directive_target(merged);
 
-    const std::string overlap(
-        source_.substr(body_begin, body_end - body_begin));
+    const std::string overlap = body_text(node);
     const bool has_overlap = !cid::trim(overlap).empty();
     const std::string tag = std::to_string(options_.tag);
 
@@ -589,7 +449,7 @@ class Translator {
       // retransmission protocol); emit a Region::p2p call with the site's
       // own clauses — inheritance happens in the runtime, like the paper's
       // region-scoped assertions.
-      auto builder = clauses_builder(directive);
+      auto builder = clauses_builder(node.directive);
       if (!builder.is_ok()) return builder.status();
       std::string out = annotate("comm_p2p " + std::to_string(id) +
                                  " (reliable region)") + "\n";

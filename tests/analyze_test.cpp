@@ -712,8 +712,13 @@ TEST(AnalyzeJson, EscapesSpecialCharacters) {
 
 // --- the declaration model --------------------------------------------------
 
+cid::analyze::SourceModel scan_model(std::string_view source) {
+  return cid::analyze::SourceModel::scan(source,
+                                         cid::translate::code_mask(source));
+}
+
 TEST(SourceModel, RecoversConstantExtents) {
-  const auto model = cid::analyze::SourceModel::scan(
+  const auto model = scan_model(
       "double buf[4];\nint other[16];\nchar* p;\ndouble dyn[n];\n");
   ASSERT_EQ(model.array_extents.count("buf"), 1u);
   EXPECT_EQ(model.array_extents.at("buf"), 4);
@@ -724,13 +729,13 @@ TEST(SourceModel, RecoversConstantExtents) {
 }
 
 TEST(SourceModel, ConflictingExtentsBecomeUnknown) {
-  const auto model = cid::analyze::SourceModel::scan(
+  const auto model = scan_model(
       "void f() { double buf[4]; }\nvoid g() { double buf[8]; }\n");
   EXPECT_EQ(model.array_extents.count("buf"), 0u);
 }
 
 TEST(SourceModel, ParsesStructFields) {
-  const auto model = cid::analyze::SourceModel::scan(R"(
+  const auto model = scan_model(R"(
 struct Particle {
   double x, y;
   double* history;
@@ -751,7 +756,7 @@ struct Particle {
 }
 
 TEST(SourceModel, ReflectRegistrationMarksStruct) {
-  const auto model = cid::analyze::SourceModel::scan(
+  const auto model = scan_model(
       "struct S { int a; };\nCID_REFLECT_STRUCT(S, a);\n");
   EXPECT_TRUE(model.structs.at("S").reflected);
 }
@@ -807,6 +812,65 @@ TEST(ScanDirectives, ContinuationLinesJoin) {
   ASSERT_EQ(tree.roots.size(), 1u);
   EXPECT_TRUE(tree.roots[0].pragma_continued);
   EXPECT_NE(tree.roots[0].directive.find("count"), nullptr);
+}
+
+TEST(ScanDirectives, ResolvesInheritanceOnce) {
+  // The guard pair comes from the outer region, the peers from the middle
+  // one; the inner region overrides count and the guard pair.
+  const auto tree = cid::translate::scan_directives(R"(
+#pragma comm_parameters count(8) sendwhen(rank%2==0) receivewhen(rank%2==1)
+{
+#pragma comm_parameters count(4) sender(rank-1) receiver(rank+1)
+  {
+#pragma comm_p2p sbuf(a) rbuf(b) receiver(0)
+    { }
+#pragma comm_parameters count(2) sendwhen(rank>0) receivewhen(rank<nprocs-1)
+    {
+#pragma comm_p2p sbuf(c) rbuf(d)
+      { }
+    }
+  }
+}
+)");
+  ASSERT_TRUE(tree.issues.empty());
+  ASSERT_EQ(tree.roots.size(), 1u);
+  const auto arg = [](const cid::translate::DirectiveNode& node,
+                      const char* name) {
+    const cid::core::RawClause* clause = node.resolved.find(name);
+    return clause != nullptr ? clause->args[0] : std::string("<absent>");
+  };
+  const auto& outer = tree.roots[0];
+  ASSERT_EQ(outer.children.size(), 1u);
+  const auto& middle = outer.children[0];
+  ASSERT_EQ(middle.children.size(), 2u);
+  const auto& p2p = middle.children[0];
+  const auto& inner = middle.children[1];
+  ASSERT_EQ(inner.children.size(), 1u);
+  const auto& deep = inner.children[0];
+
+  // A root resolves to its own clauses.
+  EXPECT_EQ(arg(outer, "count"), "8");
+  EXPECT_EQ(arg(outer, "sender"), "<absent>");
+  // Nested regions override count level by level.
+  EXPECT_EQ(arg(middle, "count"), "4");
+  EXPECT_EQ(arg(inner, "count"), "2");
+  EXPECT_EQ(arg(deep, "count"), "2");
+  // A p2p overrides one inherited clause and keeps the rest.
+  EXPECT_EQ(arg(p2p, "receiver"), "0");
+  EXPECT_EQ(arg(p2p, "sender"), "rank-1");
+  EXPECT_EQ(arg(p2p, "count"), "4");
+  // The guard pair split from the peers across levels meets at each p2p.
+  EXPECT_EQ(arg(p2p, "sendwhen"), "rank%2==0");
+  EXPECT_EQ(arg(p2p, "receivewhen"), "rank%2==1");
+  EXPECT_EQ(arg(deep, "sendwhen"), "rank>0");
+  EXPECT_EQ(arg(deep, "receivewhen"), "rank<nprocs-1");
+  EXPECT_EQ(arg(deep, "sender"), "rank-1");
+  EXPECT_EQ(arg(deep, "receiver"), "rank+1");
+  EXPECT_EQ(deep.resolved.kind, cid::core::DirectiveKind::CommP2P);
+  EXPECT_EQ(inner.resolved.kind, cid::core::DirectiveKind::CommParameters);
+  // `directive` keeps only what the site wrote.
+  EXPECT_EQ(deep.directive.clauses.size(), 2u);
+  EXPECT_EQ(deep.directive.find("count"), nullptr);
 }
 
 // --- shipped sources must stay clean ----------------------------------------

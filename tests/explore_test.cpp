@@ -17,6 +17,8 @@
 #include "analyze/analyze.hpp"
 #include "explore/explore.hpp"
 #include "explore/fuzz.hpp"
+#include "explore/program.hpp"
+#include "translate/translator.hpp"
 
 namespace {
 
@@ -249,6 +251,95 @@ TEST(Explore, ScheduleFormatsAndParsesRoundTrip) {
   EXPECT_TRUE(empty.value().empty());
 
   EXPECT_FALSE(cid::explore::parse_schedule("1,x,2").is_ok());
+}
+
+// --- one directive model ------------------------------------------------------
+
+// The three front ends walk the same scanned tree, so they agree on which
+// directives exist: pragma text in comments and literals is none, a directive
+// nested in a comm_p2p or comm_collective body is an error everywhere, and
+// structural errors reject everywhere.
+TEST(FrontEnds, AgreeOnWhichDirectivesExist) {
+  constexpr const char* kDecls = "int a[4]; int b[4];\nvoid work();\n";
+  constexpr const char* kRing =
+      "sbuf(a) rbuf(b) count(4) receiver((rank+1)%nprocs) "
+      "sender((rank+nprocs-1)%nprocs)";
+  const std::string p2p = std::string("#pragma comm_p2p ") + kRing + "\n";
+  struct Row {
+    const char* name;
+    std::string source;
+    bool accepted;
+    int sites;    // comm_p2p and comm_collective directives
+    int regions;  // comm_parameters directives
+  };
+  const std::vector<Row> rows = {
+      {"pragma in a block comment",
+       std::string(kDecls) + "/*\n" + p2p + "{ work(); }\n*/\n", true, 0, 0},
+      {"pragma in a raw string",
+       std::string(kDecls) + "const char* text = R\"(\n" + p2p +
+           "{ work(); }\n)\";\n",
+       true, 0, 0},
+      {"p2p nested in a p2p body",
+       std::string(kDecls) + p2p + "{\n" + p2p + "{ work(); }\n}\n", false, 0,
+       0},
+      {"p2p nested in a collective body",
+       std::string(kDecls) +
+           "#pragma comm_collective pattern(PATTERN_ONE_TO_MANY) sbuf(a) "
+           "rbuf(b) count(4)\n{\n" +
+           p2p + "{ work(); }\n}\n",
+       false, 0, 0},
+      {"region directly wrapping a directive",
+       std::string(kDecls) + "#pragma comm_parameters count(4)\n" + p2p +
+           "{ work(); }\n",
+       true, 1, 1},
+      {"backslash-continued pragma",
+       std::string(kDecls) +
+           "#pragma comm_p2p sbuf(a) rbuf(b) count(4) \\\n"
+           "    receiver((rank+1)%nprocs) sender((rank+nprocs-1)%nprocs)\n"
+           "{ work(); }\n",
+       true, 1, 0},
+      {"unbalanced braces", std::string(kDecls) + p2p + "{ if (a[0]) {\n",
+       false, 0, 0},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    auto translated = cid::translate::translate_source(row.source);
+    cid::analyze::Options analyze_options;
+    analyze_options.nprocs_min = 3;
+    analyze_options.nprocs_max = 3;
+    const auto report = cid::analyze::analyze_source(row.source,
+                                                     analyze_options);
+    auto program = cid::explore::build_program(row.source);
+
+    EXPECT_EQ(translated.is_ok(), row.accepted);
+    EXPECT_EQ(report.errors() == 0, row.accepted) << report.errors();
+    EXPECT_EQ(program.is_ok(), row.accepted);
+    if (!row.accepted) {
+      // Rejected for the same reason, at the same place: the first scan
+      // issue, which analyze reports as a CID-P002 structural error.
+      const auto p002 = std::find_if(
+          report.diagnostics.begin(), report.diagnostics.end(),
+          [](const auto& d) { return d.id == "CID-P002"; });
+      EXPECT_NE(p002, report.diagnostics.end());
+      if (translated.is_ok() || program.is_ok() ||
+          p002 == report.diagnostics.end()) {
+        continue;
+      }
+      EXPECT_EQ(translated.status().message(), program.status().message());
+      EXPECT_EQ(translated.status().message(),
+                "line " + std::to_string(p002->line) + ": " + p002->message);
+      continue;
+    }
+    if (!translated.is_ok() || !program.is_ok()) continue;
+    const auto& summary = translated.value().summary;
+    EXPECT_EQ(summary.p2p_directives, row.sites);
+    EXPECT_EQ(summary.parameter_regions, row.regions);
+    EXPECT_EQ(report.directives_checked, row.sites + row.regions);
+    EXPECT_EQ(static_cast<int>(program.value().site_lines.size()), row.sites);
+    if (row.sites == 0) {
+      EXPECT_EQ(translated.value().source, row.source);
+    }
+  }
 }
 
 // --- the cross-layer fuzzer -------------------------------------------------

@@ -281,6 +281,25 @@ TEST(Translate, BracesInStringsAndCommentsIgnored) {
   EXPECT_TRUE(contains(out, "waitall"));
 }
 
+TEST(Translate, PragmaInCommentOrStringIsNotTranslated) {
+  const std::string source = R"src(int a[4]; int b[4];
+/* disabled:
+#pragma comm_p2p sender(s) receiver(r) sbuf(a) rbuf(b)
+{ }
+*/
+// #pragma comm_p2p sender(s) receiver(r) sbuf(a) rbuf(b)
+const char* quoted = "#pragma comm_p2p sender(s) receiver(r) sbuf(a) rbuf(b)";
+const char* raw = R"x(
+#pragma comm_p2p sender(s) receiver(r) sbuf(a) rbuf(b)
+{ }
+)x";
+)src";
+  auto result = translate_source(source);
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_EQ(result.value().source, source);
+  EXPECT_EQ(result.value().summary.p2p_directives, 0);
+}
+
 TEST(Translate, ErrorsCarryLineNumbers) {
   auto bad_clause = translate_source(R"(
 int x;
