@@ -21,18 +21,6 @@ using translate::DirectiveTree;
 
 namespace detail {
 
-int clause_column(const DirectiveNode& node, const core::RawClause& clause) {
-  // Clause offsets index the joined pragma text; for single-line pragmas
-  // that text starts at the '#', so the offset maps straight to a column.
-  // Continuation joining rewrites whitespace, and clauses inherited from an
-  // enclosing region live on a different line entirely — both fall back to
-  // the pragma's own column.
-  if (node.pragma_continued) return node.column;
-  const core::RawClause* own = node.directive.find(clause.name);
-  if (own == nullptr || own->offset != clause.offset) return node.column;
-  return node.column + static_cast<int>(clause.offset);
-}
-
 namespace {
 bool ident_char(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
@@ -105,22 +93,12 @@ class Walker {
     return parsed.value();
   }
 
-  /// Clause-value checks on a region directive: place_sync/target keywords
-  /// (CID-S032), max_comm_iter positivity (CID-S032), conflicts with the
-  /// enclosing region `parent` (CID-S033) and reliability constraints
-  /// (CID-S035).
+  /// Clause-value checks on a region directive that the static clause rules
+  /// (checked by the scanner) leave to the analyzer: max_comm_iter
+  /// positivity (CID-S032), conflicts with the enclosing region `parent`
+  /// (CID-S033) and the reliability values (CID-S035 warnings).
   void check_region_clauses(const DirectiveNode& node,
                             const DirectiveNode* parent) {
-    const core::ParsedDirective& merged = node.resolved;
-    if (const auto* clause = node.directive.find("place_sync")) {
-      auto parsed = core::parse_sync_placement_keyword(clause->args[0]);
-      if (!parsed.is_ok()) {
-        ctx_.report.add("CID-S032", Severity::Error, node.line,
-                        detail::clause_column(node, *clause),
-                        "place_sync(" + clause->args[0] + "): " +
-                            parsed.status().message());
-      }
-    }
     if (const auto* clause = node.directive.find("max_comm_iter")) {
       auto expr = core::Expr::parse(clause->args[0]);
       if (expr.is_ok() && expr.value().free_variables().empty()) {
@@ -148,20 +126,7 @@ class Walker {
         }
       }
     }
-    if (const auto* clause = merged.find("reliability")) {
-      // TARGET_COMM_AUTO is fine: the runtime tuner forces the two-sided
-      // lowering whenever a reliability clause is present.
-      if (const auto* target = merged.find("target");
-          target != nullptr && target->args[0] != "TARGET_COMM_MPI_2SIDE" &&
-          target->args[0] != "TARGET_COMM_AUTO") {
-        ctx_.report.add(
-            "CID-S035", Severity::Error, node.line,
-            detail::clause_column(node, *clause),
-            "reliability requires TARGET_COMM_MPI_2SIDE, but the region "
-            "targets " + target->args[0],
-            "the ack/retransmit protocol rides on two-sided messages; drop "
-            "the target clause or the reliability clause");
-      }
+    if (const auto* clause = node.resolved.find("reliability")) {
       for (std::size_t i = 0; i < clause->args.size(); ++i) {
         auto expr = core::Expr::parse(clause->args[i]);
         if (!expr.is_ok() || !expr.value().free_variables().empty()) continue;
@@ -176,15 +141,6 @@ class Walker {
                                   : "retry count must be non-negative"));
           break;
         }
-      }
-    }
-    if (const auto* clause = node.directive.find("target")) {
-      auto parsed = core::parse_target_keyword(clause->args[0]);
-      if (!parsed.is_ok()) {
-        ctx_.report.add("CID-S032", Severity::Error, node.line,
-                        detail::clause_column(node, *clause),
-                        "target(" + clause->args[0] + "): " +
-                            parsed.status().message());
       }
     }
   }
@@ -264,22 +220,11 @@ class Walker {
               {std::move(fresh),
                placement == core::SyncPlacement::BeginNextParamRegion});
         }
-      } else {
-        if (detail::check_required_clauses(ctx_, node)) {
-          detail::check_match_and_counts(ctx_, node);
-          detail::check_buffer_types(ctx_, node);
-          detail::check_p2p_buffers(ctx_, node, inflight,
-                                    /*append=*/parent != nullptr);
-        }
-        if (const auto* clause = node.directive.find("target")) {
-          auto parsed = core::parse_target_keyword(clause->args[0]);
-          if (!parsed.is_ok()) {
-            ctx_.report.add("CID-S032", Severity::Error, node.line,
-                            detail::clause_column(node, *clause),
-                            "target(" + clause->args[0] + "): " +
-                                parsed.status().message());
-          }
-        }
+      } else if (!node.rejected) {
+        detail::check_match_and_counts(ctx_, node);
+        detail::check_buffer_types(ctx_, node);
+        detail::check_p2p_buffers(ctx_, node, inflight,
+                                  /*append=*/parent != nullptr);
       }
       previous_end = node.node_end;
     }
@@ -293,6 +238,14 @@ void add_scan_issue(Report& report, const translate::ScanIssue& issue) {
   if (id == "CID-P001") hint = "see docs/DIRECTIVES.md for the clause grammar";
   if (id == "CID-P004") {
     hint = "every '\\'-continued line must be followed by another line";
+  }
+  if (id == "CID-P005") {
+    hint = "add the clause(s) on the directive or on the enclosing "
+           "comm_parameters region";
+  }
+  if (id == "CID-S035") {
+    hint = "the ack/retransmit protocol rides on two-sided messages; drop the "
+           "target clause or the reliability clause";
   }
   report.add(issue.id, Severity::Error, issue.line, issue.column,
              issue.status.message(), std::move(hint));

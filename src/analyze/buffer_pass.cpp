@@ -108,7 +108,6 @@ void check_p2p_buffers(AnalysisContext& ctx, const DirectiveNode& node,
   if (merged.kind != core::DirectiveKind::CommP2P) return;
   const RawClause* sbuf = merged.find("sbuf");
   const RawClause* rbuf = merged.find("rbuf");
-  if (rbuf == nullptr) return;
 
   const std::string receivewhen = guard_text(merged, "receivewhen");
   const Guard recv_guard = Guard::from_text(receivewhen);
@@ -139,25 +138,21 @@ void check_p2p_buffers(AnalysisContext& ctx, const DirectiveNode& node,
 
   // CID-B021: send and receive staged through the same memory on a rank
   // that does both.
-  if (sbuf != nullptr) {
-    const Guard send_guard =
-        Guard::from_text(guard_text(merged, "sendwhen"));
-    const std::size_t pairs = std::min(sbuf->args.size(), rbuf->args.size());
-    for (std::size_t i = 0; i < pairs; ++i) {
-      if (normalized(sbuf->args[i]) != normalized(rbuf->args[i])) continue;
-      const auto overlap = first_overlap(ctx, send_guard, recv_guard);
-      if (!overlap.has_value()) continue;
-      ctx.report.add(
-          "CID-B021", Severity::Error, node.line,
-          clause_column(node, *rbuf),
-          "sbuf and rbuf both name '" + sbuf->args[i] + "' and rank " +
-              std::to_string(overlap->second) + " both sends and receives "
-              "at nprocs=" + std::to_string(overlap->first) +
-              ", so the incoming message overwrites the outgoing data",
-          "stage through distinct buffers, or make sendwhen/receivewhen "
-          "disjoint as in the paper's transfer_atom example");
-      break;
-    }
+  const Guard send_guard = Guard::from_text(guard_text(merged, "sendwhen"));
+  for (std::size_t i = 0; i < rbuf->args.size(); ++i) {
+    if (normalized(sbuf->args[i]) != normalized(rbuf->args[i])) continue;
+    const auto overlap = first_overlap(ctx, send_guard, recv_guard);
+    if (!overlap.has_value()) continue;
+    ctx.report.add(
+        "CID-B021", Severity::Error, node.line,
+        clause_column(node, *rbuf),
+        "sbuf and rbuf both name '" + sbuf->args[i] + "' and rank " +
+            std::to_string(overlap->second) + " both sends and receives "
+            "at nprocs=" + std::to_string(overlap->first) +
+            ", so the incoming message overwrites the outgoing data",
+        "stage through distinct buffers, or make sendwhen/receivewhen "
+        "disjoint as in the paper's transfer_atom example");
+    break;
   }
 
   // CID-B022: the overlap block (the directive's own body) touching an rbuf
@@ -221,7 +216,6 @@ void check_buffer_types(AnalysisContext& ctx, const DirectiveNode& node) {
   bool reported_unregistered = false;
   for (const char* list_name : {"sbuf", "rbuf"}) {
     const RawClause* list = merged.find(list_name);
-    if (list == nullptr) continue;
     for (const std::string& argument : list->args) {
       const std::string base = buffer_base_identifier(argument);
       if (base.empty()) continue;

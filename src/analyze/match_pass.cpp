@@ -63,63 +63,6 @@ SweptExpr prepare(AnalysisContext& ctx, const DirectiveNode& node,
 
 }  // namespace
 
-bool check_required_clauses(AnalysisContext& ctx, const DirectiveNode& node) {
-  const core::ParsedDirective& merged = node.resolved;
-  const auto* sbuf = merged.find("sbuf");
-  const auto* rbuf = merged.find("rbuf");
-  bool usable = true;
-  if (merged.kind == core::DirectiveKind::CommP2P) {
-    std::string missing;
-    for (const char* name : {"sbuf", "rbuf", "sender", "receiver"}) {
-      if (merged.find(name) == nullptr) {
-        if (!missing.empty()) missing += ", ";
-        missing += name;
-      }
-    }
-    if (!missing.empty()) {
-      ctx.report.add("CID-P005", Severity::Error, node.line, node.column,
-                     "comm_p2p is missing required clause(s) after "
-                     "inheritance: " + missing,
-                     "add the clause(s) on the directive or on the enclosing "
-                     "comm_parameters region");
-      usable = false;
-    }
-    if (sbuf != nullptr && rbuf != nullptr &&
-        sbuf->args.size() != rbuf->args.size()) {
-      ctx.report.add(
-          "CID-P006", Severity::Error, node.line, node.column,
-          "sbuf lists " + std::to_string(sbuf->args.size()) +
-              " buffer(s) but rbuf lists " +
-              std::to_string(rbuf->args.size()) +
-              "; paired send/receive buffers must agree in number");
-      usable = false;
-    }
-  } else if (merged.kind == core::DirectiveKind::CommCollective) {
-    std::string missing;
-    for (const char* name : {"sbuf", "rbuf", "count"}) {
-      if (merged.find(name) == nullptr) {
-        if (!missing.empty()) missing += ", ";
-        missing += name;
-      }
-    }
-    if (!missing.empty()) {
-      ctx.report.add("CID-P005", Severity::Error, node.line, node.column,
-                     "comm_collective is missing required clause(s): " +
-                         missing,
-                     "the translated collective needs explicit sbuf, rbuf "
-                     "and count");
-      usable = false;
-    }
-    if (sbuf != nullptr && rbuf != nullptr &&
-        (sbuf->args.size() != 1 || rbuf->args.size() != 1)) {
-      ctx.report.add("CID-P006", Severity::Error, node.line, node.column,
-                     "comm_collective takes exactly one sbuf and one rbuf");
-      usable = false;
-    }
-  }
-  return usable;
-}
-
 void check_match_and_counts(AnalysisContext& ctx, const DirectiveNode& node) {
   const core::ParsedDirective& merged = node.resolved;
   // --- count / extent agreement (works even with symbolic guards) ----------
@@ -138,7 +81,6 @@ void check_match_and_counts(AnalysisContext& ctx, const DirectiveNode& node) {
 
   std::vector<std::pair<std::string, long long>> known_extents;
   for (const auto* list : {sbuf, rbuf}) {
-    if (list == nullptr) continue;
     for (const auto& argument : list->args) {
       if (auto extent = ctx.model.extent_of(argument)) {
         known_extents.emplace_back(argument, *extent);
@@ -213,7 +155,6 @@ void check_match_and_counts(AnalysisContext& ctx, const DirectiveNode& node) {
   SweptExpr receiver = prepare(ctx, node, merged, "receiver");
   SweptExpr sendwhen = prepare(ctx, node, merged, "sendwhen");
   SweptExpr receivewhen = prepare(ctx, node, merged, "receivewhen");
-  if (!sender.present || !receiver.present) return;  // CID-P005 already fired
   if (sender.symbolic || receiver.symbolic || sendwhen.symbolic ||
       receivewhen.symbolic) {
     // Nothing provable statically. Count the skip (unless a CID-P003 parse

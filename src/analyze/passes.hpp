@@ -29,10 +29,7 @@ struct InFlight {
   int line = 0;             ///< line of the posting directive
 };
 
-/// Column of a clause within its pragma (falls back to the pragma's own
-/// column for '\'-continued pragmas, where joined offsets do not map back).
-int clause_column(const translate::DirectiveNode& node,
-                  const core::RawClause& clause);
+using translate::clause_column;
 
 /// Does [begin,end) reference `identifier` as a whole token in live code
 /// (comments/strings masked out), outside the given excluded subranges?
@@ -45,12 +42,6 @@ bool references_identifier(
 /// for one comm_p2p (CID-M010..M015, CID-S034) or comm_collective
 /// (root-range check). Every pass reads the node's resolved clauses.
 void check_match_and_counts(AnalysisContext& ctx,
-                            const translate::DirectiveNode& node);
-
-/// Required clauses after inheritance (CID-P005) and sbuf/rbuf list-length
-/// agreement (CID-P006). Returns false when the directive is too malformed
-/// for the other passes.
-bool check_required_clauses(AnalysisContext& ctx,
                             const translate::DirectiveNode& node);
 
 /// Buffer race checks for one comm_p2p: rbuf already in flight (CID-B020),

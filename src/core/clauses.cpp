@@ -5,61 +5,44 @@
 
 namespace cid::core {
 
-std::string_view target_keyword(Target target) noexcept {
-  switch (target) {
-    case Target::Mpi2Side: return "TARGET_COMM_MPI_2SIDE";
-    case Target::Mpi1Side: return "TARGET_COMM_MPI_1SIDE";
-    case Target::Shmem: return "TARGET_COMM_SHMEM";
-    case Target::Auto: return "TARGET_COMM_AUTO";
+namespace {
+
+template <typename Enum, std::size_t N>
+Result<Enum> parse_keyword(const std::array<std::string_view, N>& keywords,
+                           std::string_view clause, std::string_view keyword) {
+  for (std::size_t i = 0; i < N; ++i) {
+    if (keywords[i] == keyword) return static_cast<Enum>(i);
   }
-  return "TARGET_COMM_UNKNOWN";
+  return Status(ErrorCode::InvalidClause, "unknown " + std::string(clause) +
+                                              " keyword '" +
+                                              std::string(keyword) + "'");
+}
+
+}  // namespace
+
+std::string_view target_keyword(Target target) noexcept {
+  return kTargetKeywords[static_cast<std::size_t>(target)];
 }
 
 std::string_view sync_placement_keyword(SyncPlacement placement) noexcept {
-  switch (placement) {
-    case SyncPlacement::EndParamRegion: return "END_PARAM_REGION";
-    case SyncPlacement::BeginNextParamRegion: return "BEGIN_NEXT_PARAM_REGION";
-    case SyncPlacement::EndAdjParamRegions: return "END_ADJ_PARAM_REGIONS";
-  }
-  return "UNKNOWN_SYNC_PLACEMENT";
-}
-
-Result<Target> parse_target_keyword(std::string_view keyword) {
-  if (keyword == "TARGET_COMM_MPI_2SIDE") return Target::Mpi2Side;
-  if (keyword == "TARGET_COMM_MPI_1SIDE") return Target::Mpi1Side;
-  if (keyword == "TARGET_COMM_SHMEM") return Target::Shmem;
-  if (keyword == "TARGET_COMM_AUTO") return Target::Auto;
-  return Status(ErrorCode::InvalidClause,
-                "unknown target keyword '" + std::string(keyword) + "'");
+  return kSyncPlacementKeywords[static_cast<std::size_t>(placement)];
 }
 
 std::string_view pattern_keyword(Pattern pattern) noexcept {
-  switch (pattern) {
-    case Pattern::OneToMany: return "PATTERN_ONE_TO_MANY";
-    case Pattern::ManyToOne: return "PATTERN_MANY_TO_ONE";
-    case Pattern::AllToAll: return "PATTERN_ALL_TO_ALL";
-  }
-  return "PATTERN_UNKNOWN";
+  return kPatternKeywords[static_cast<std::size_t>(pattern)];
 }
 
-Result<Pattern> parse_pattern_keyword(std::string_view keyword) {
-  if (keyword == "PATTERN_ONE_TO_MANY") return Pattern::OneToMany;
-  if (keyword == "PATTERN_MANY_TO_ONE") return Pattern::ManyToOne;
-  if (keyword == "PATTERN_ALL_TO_ALL") return Pattern::AllToAll;
-  return Status(ErrorCode::InvalidClause,
-                "unknown pattern keyword '" + std::string(keyword) + "'");
+Result<Target> parse_target_keyword(std::string_view keyword) {
+  return parse_keyword<Target>(kTargetKeywords, "target", keyword);
 }
 
 Result<SyncPlacement> parse_sync_placement_keyword(std::string_view keyword) {
-  if (keyword == "END_PARAM_REGION") return SyncPlacement::EndParamRegion;
-  if (keyword == "BEGIN_NEXT_PARAM_REGION") {
-    return SyncPlacement::BeginNextParamRegion;
-  }
-  if (keyword == "END_ADJ_PARAM_REGIONS") {
-    return SyncPlacement::EndAdjParamRegions;
-  }
-  return Status(ErrorCode::InvalidClause,
-                "unknown place_sync keyword '" + std::string(keyword) + "'");
+  return parse_keyword<SyncPlacement>(kSyncPlacementKeywords, "place_sync",
+                                      keyword);
+}
+
+Result<Pattern> parse_pattern_keyword(std::string_view keyword) {
+  return parse_keyword<Pattern>(kPatternKeywords, "pattern", keyword);
 }
 
 namespace {
@@ -147,6 +130,7 @@ Clauses Clauses::merged(const Clauses& region, const Clauses& p2p) {
   if (p2p.group_.present()) out.group_ = p2p.group_;
   if (!p2p.sbuf_.empty()) out.sbuf_ = p2p.sbuf_;
   if (!p2p.rbuf_.empty()) out.rbuf_ = p2p.rbuf_;
+  out.present_ |= p2p.present_;
   // Bindings accumulate; p2p-level bindings shadow region ones by appearing
   // later (Env::bind overwrites).
   out.bindings_.insert(out.bindings_.end(), p2p.bindings_.begin(),
@@ -155,19 +139,8 @@ Clauses Clauses::merged(const Clauses& region, const Clauses& p2p) {
 }
 
 Status Clauses::validate_p2p_site() const {
-  if (place_sync_.has_value()) {
-    return Status(ErrorCode::InvalidClause,
-                  "place_sync may only be used with comm_parameters");
-  }
-  if (max_comm_iter_.present()) {
-    return Status(ErrorCode::InvalidClause,
-                  "max_comm_iter may only be used with comm_parameters");
-  }
-  if (reliability_present()) {
-    return Status(ErrorCode::InvalidClause,
-                  "reliability may only be used with comm_parameters");
-  }
-  return Status::ok();
+  return check_clause_rules(DirectiveKind::CommP2P, facts(),
+                            RuleStage::Written);
 }
 
 ClauseView::ClauseView(const Clauses* region, const Clauses& site)
@@ -186,35 +159,10 @@ Status Clauses::validate_for_p2p() const {
 }
 
 Status ClauseView::validate_for_p2p() const {
+  CID_RETURN_IF_ERROR(
+      check_clause_rules(DirectiveKind::CommP2P, facts(), RuleStage::Resolved));
   const std::vector<BufferRef>& sbufs = sbuf_list();
   const std::vector<BufferRef>& rbufs = rbuf_list();
-  if (!sender_clause().present()) {
-    return Status(ErrorCode::InvalidClause,
-                  "comm_p2p requires the sender clause");
-  }
-  if (!receiver_clause().present()) {
-    return Status(ErrorCode::InvalidClause,
-                  "comm_p2p requires the receiver clause");
-  }
-  if (sbufs.empty()) {
-    return Status(ErrorCode::InvalidClause,
-                  "comm_p2p requires a non-empty sbuf clause");
-  }
-  if (rbufs.empty()) {
-    return Status(ErrorCode::InvalidClause,
-                  "comm_p2p requires a non-empty rbuf clause");
-  }
-  if (sbufs.size() != rbufs.size()) {
-    return Status(ErrorCode::InvalidClause,
-                  "sbuf and rbuf must list the same number of buffers (got " +
-                      std::to_string(sbufs.size()) + " and " +
-                      std::to_string(rbufs.size()) + ")");
-  }
-  if (sendwhen_clause().present() != receivewhen_clause().present()) {
-    return Status(ErrorCode::InvalidClause,
-                  "sendwhen and receivewhen must both be present or both be "
-                  "omitted");
-  }
   for (std::size_t i = 0; i < sbufs.size(); ++i) {
     const BufferRef& s = sbufs[i];
     const BufferRef& r = rbufs[i];
@@ -233,39 +181,12 @@ Status ClauseView::validate_for_p2p() const {
 }
 
 Status Clauses::validate_for_collective() const {
-  if (!pattern_.has_value()) {
-    return Status(ErrorCode::InvalidClause,
-                  "comm_collective requires the pattern clause");
-  }
-  if (sbuf_.empty() || rbuf_.empty()) {
-    return Status(ErrorCode::InvalidClause,
-                  "comm_collective requires sbuf and rbuf clauses");
-  }
-  if (sbuf_.size() != 1 || rbuf_.size() != 1) {
-    return Status(ErrorCode::InvalidClause,
-                  "comm_collective takes exactly one sbuf and one rbuf");
-  }
+  CID_RETURN_IF_ERROR(check_clause_rules(DirectiveKind::CommCollective,
+                                         facts(), RuleStage::Both));
   if (*pattern_ != Pattern::AllToAll && !root_.present()) {
     return Status(ErrorCode::InvalidClause,
                   "pattern " + std::string(pattern_keyword(*pattern_)) +
                       " requires the root clause");
-  }
-  if (sendwhen_.present() || receivewhen_.present()) {
-    return Status(ErrorCode::InvalidClause,
-                  "sendwhen/receivewhen do not apply to comm_collective "
-                  "(use the group clause to select participants)");
-  }
-  if (sender_.present() || receiver_.present()) {
-    return Status(ErrorCode::InvalidClause,
-                  "sender/receiver do not apply to comm_collective");
-  }
-  if (place_sync_.has_value() || max_comm_iter_.present()) {
-    return Status(ErrorCode::InvalidClause,
-                  "place_sync/max_comm_iter do not apply to comm_collective");
-  }
-  if (reliability_present()) {
-    return Status(ErrorCode::InvalidClause,
-                  "reliability does not apply to comm_collective");
   }
   const BufferRef& s = sbuf_.front();
   const BufferRef& r = rbuf_.front();
@@ -282,17 +203,8 @@ Status Clauses::validate_for_collective() const {
 }
 
 Status Clauses::validate_for_params() const {
-  if (sendwhen_.present() != receivewhen_.present()) {
-    return Status(ErrorCode::InvalidClause,
-                  "sendwhen and receivewhen must both be present or both be "
-                  "omitted");
-  }
-  if (sbuf_.size() != rbuf_.size() && !sbuf_.empty() && !rbuf_.empty()) {
-    return Status(ErrorCode::InvalidClause,
-                  "sbuf and rbuf on comm_parameters must list the same "
-                  "number of buffers");
-  }
-  return Status::ok();
+  return check_clause_rules(DirectiveKind::CommParameters, facts(),
+                            RuleStage::Both);
 }
 
 }  // namespace cid::core

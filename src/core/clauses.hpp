@@ -3,6 +3,8 @@
 // assertions apply to every enclosed comm_p2p) and validation rules.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
@@ -37,12 +39,150 @@ enum class Pattern {
   AllToAll,   ///< PATTERN_ALL_TO_ALL: full block exchange
 };
 
+/// The keywords of the target, place_sync and pattern clauses, indexed by
+/// their enum's value.
+inline constexpr std::array<std::string_view, 4> kTargetKeywords = {
+    "TARGET_COMM_MPI_2SIDE", "TARGET_COMM_MPI_1SIDE", "TARGET_COMM_SHMEM",
+    "TARGET_COMM_AUTO"};
+inline constexpr std::array<std::string_view, 3> kSyncPlacementKeywords = {
+    "END_PARAM_REGION", "BEGIN_NEXT_PARAM_REGION", "END_ADJ_PARAM_REGIONS"};
+inline constexpr std::array<std::string_view, 3> kPatternKeywords = {
+    "PATTERN_ONE_TO_MANY", "PATTERN_MANY_TO_ONE", "PATTERN_ALL_TO_ALL"};
+
 std::string_view target_keyword(Target target) noexcept;
 std::string_view sync_placement_keyword(SyncPlacement placement) noexcept;
 std::string_view pattern_keyword(Pattern pattern) noexcept;
 Result<Target> parse_target_keyword(std::string_view keyword);
 Result<SyncPlacement> parse_sync_placement_keyword(std::string_view keyword);
 Result<Pattern> parse_pattern_keyword(std::string_view keyword);
+
+// --- static clause rules ----------------------------------------------------
+// One rule set for parse_pragma (a site's own clauses), the directive scanner
+// (each node's clauses after inheritance) and the runtime's validation; the
+// per-clause data is kClauseRules in pragma.cpp (docs/DIRECTIVES.md §2).
+
+enum class DirectiveKind { CommParameters, CommP2P, CommCollective };
+
+std::string_view directive_name(DirectiveKind kind) noexcept;
+
+/// The clauses of the grammar, in kClauseRules order.
+enum class ClauseName : std::uint8_t {
+  Sender, Receiver, Sbuf, Rbuf, Sendwhen, Receivewhen, Target, Count,
+  PlaceSync, MaxCommIter, Reliability, Pattern, Root, Group,
+};
+
+std::string_view clause_name(ClauseName name) noexcept;
+
+struct ParsedDirective;
+
+/// What the static rules read of one clause set.
+struct ClauseFacts {
+  std::uint32_t present = 0;  ///< bit 1 << ClauseName per clause present
+  std::size_t sbufs = 0;      ///< buffers listed by sbuf
+  std::size_t rbufs = 0;      ///< buffers listed by rbuf
+  Target target = Target::Mpi2Side;  ///< the target clause, when present
+  /// The pragma text the facts were read from, so the keyword clauses can be
+  /// checked against their keyword sets; null for a builder-API clause set,
+  /// whose keywords are enums.
+  const ParsedDirective* text = nullptr;
+
+  void add(ClauseName name) noexcept {
+    present |= 1u << static_cast<unsigned>(name);
+  }
+  bool has(ClauseName name) const noexcept {
+    return (present >> static_cast<unsigned>(name) & 1u) != 0;
+  }
+};
+
+/// Which rules apply: where each clause may be written (checked on a site's
+/// own clauses), what a directive needs once its enclosing regions' clauses
+/// are inherited, or both (a clause set the runtime checks as it stands).
+/// The sendwhen/receivewhen pairing holds at every stage.
+enum class RuleStage { Written, Resolved, Both };
+
+/// One broken rule: its cidt check id (CID-P001, P005, P006, S032 or S035),
+/// the clause it is about, if one, and the message.
+struct RuleViolation {
+  const char* id;
+  std::optional<ClauseName> clause;
+  Status status;
+};
+
+/// Every rule of `stage` that `facts` breaks, in rule order; empty (and
+/// without allocating) when all hold.
+std::vector<RuleViolation> clause_rule_violations(DirectiveKind kind,
+                                                  const ClauseFacts& facts,
+                                                  RuleStage stage);
+
+namespace detail {
+
+/// kClauseRules folded into bit masks over ClauseFacts::present, so the
+/// runtime accepts a valid clause set with a few inline mask tests.
+struct RuleMasks {
+  std::array<std::uint32_t, 3> written_on{};  ///< per kind: may be written
+  /// Per kind, as written [0] and after inheritance [1]: required (a clause
+  /// no comm_parameters may carry is never inherited: required as written).
+  std::array<std::array<std::uint32_t, 3>, 2> required{};
+  std::uint32_t paired = 0;  ///< both clauses of each pair (one pair today)
+};
+
+extern const RuleMasks kRuleMasks;  ///< defined beside kClauseRules
+
+/// Which rules a clause set breaks; clause_rule_violations builds the
+/// messages from it only when something is broken.
+struct Breaks {
+  std::uint32_t misplaced = 0;  ///< clauses written where they may not be
+  bool unpaired = false;
+  std::uint32_t missing = 0;  ///< required clauses absent
+  bool bad_counts = false;
+  bool unreliable_target = false;
+  bool unknown_keywords = false;  ///< some keyword not in its clause's set
+
+  bool any() const noexcept {
+    return misplaced != 0 || unpaired || missing != 0 || bad_counts ||
+           unreliable_target || unknown_keywords;
+  }
+};
+
+bool any_unknown_keyword(const ParsedDirective& text);
+
+inline Breaks breaks_of(DirectiveKind kind, const ClauseFacts& facts,
+                        RuleStage stage) {
+  const auto k = static_cast<std::size_t>(kind);
+  const bool written = stage == RuleStage::Written;
+  const std::uint32_t present = facts.present;
+  const std::uint32_t pairs = present & kRuleMasks.paired;
+  Breaks out;
+  out.misplaced = stage == RuleStage::Resolved
+                      ? 0
+                      : present & ~kRuleMasks.written_on[k];
+  out.unpaired = pairs != 0 && pairs != kRuleMasks.paired;
+  out.missing = kRuleMasks.required[written ? 0 : 1][k] & ~present;
+  if (written) return out;
+  if (facts.has(ClauseName::Sbuf) && facts.has(ClauseName::Rbuf)) {
+    out.bad_counts = kind == DirectiveKind::CommCollective
+                         ? facts.sbufs != 1 || facts.rbufs != 1
+                         : facts.sbufs != facts.rbufs;
+  }
+  // The runtime tuner lowers TARGET_COMM_AUTO to two-sided MPI whenever a
+  // reliability clause is present.
+  out.unreliable_target =
+      facts.has(ClauseName::Reliability) && facts.has(ClauseName::Target) &&
+      facts.target != Target::Mpi2Side && facts.target != Target::Auto;
+  out.unknown_keywords =
+      facts.text != nullptr && any_unknown_keyword(*facts.text);
+  return out;
+}
+
+}  // namespace detail
+
+/// The first rule of `stage` that `facts` breaks, as a Status; ok, and
+/// nothing built, when all hold.
+inline Status check_clause_rules(DirectiveKind kind, const ClauseFacts& facts,
+                                 RuleStage stage) {
+  if (!detail::breaks_of(kind, facts, stage).any()) return Status::ok();
+  return std::move(clause_rule_violations(kind, facts, stage).front().status);
+}
 
 /// A clause argument: a constant, a parsed expression (evaluated against the
 /// directive environment), or a callable (evaluated at execution time on each
@@ -97,29 +237,28 @@ class ClauseExpr {
 class Clauses {
  public:
   // --- builder ---------------------------------------------------------
-  Clauses& sender(ClauseExpr expr) { sender_ = std::move(expr); return *this; }
-  Clauses& receiver(ClauseExpr expr) { receiver_ = std::move(expr); return *this; }
-  Clauses& sendwhen(ClauseExpr expr) { sendwhen_ = std::move(expr); return *this; }
-  Clauses& receivewhen(ClauseExpr expr) { receivewhen_ = std::move(expr); return *this; }
-  Clauses& count(ClauseExpr expr) { count_ = std::move(expr); return *this; }
-  Clauses& max_comm_iter(ClauseExpr expr) { max_comm_iter_ = std::move(expr); return *this; }
+  Clauses& sender(ClauseExpr expr) { return set(sender_, std::move(expr), ClauseName::Sender); }
+  Clauses& receiver(ClauseExpr expr) { return set(receiver_, std::move(expr), ClauseName::Receiver); }
+  Clauses& sendwhen(ClauseExpr expr) { return set(sendwhen_, std::move(expr), ClauseName::Sendwhen); }
+  Clauses& receivewhen(ClauseExpr expr) { return set(receivewhen_, std::move(expr), ClauseName::Receivewhen); }
+  Clauses& count(ClauseExpr expr) { return set(count_, std::move(expr), ClauseName::Count); }
+  Clauses& max_comm_iter(ClauseExpr expr) { return set(max_comm_iter_, std::move(expr), ClauseName::MaxCommIter); }
   /// Reliable delivery for the region's MPI-two-sided transfers:
   /// ack/timeout/retransmit with exponential backoff in virtual time.
   /// `timeout_us` is the base retransmission timeout in virtual
   /// microseconds; `max_retries` bounds retransmissions per transfer, after
   /// which the pair is reported undelivered (see core::delivery_report()).
   Clauses& reliability(ClauseExpr timeout_us, ClauseExpr max_retries) {
-    reliability_timeout_us_ = std::move(timeout_us);
     reliability_max_retries_ = std::move(max_retries);
-    return *this;
+    return set(reliability_timeout_us_, std::move(timeout_us), ClauseName::Reliability);
   }
-  Clauses& target(Target target) { target_ = target; return *this; }
-  Clauses& place_sync(SyncPlacement placement) { place_sync_ = placement; return *this; }
+  Clauses& target(Target target) { target_ = target; return mark(ClauseName::Target, true); }
+  Clauses& place_sync(SyncPlacement placement) { place_sync_ = placement; return mark(ClauseName::PlaceSync, true); }
   /// Collective-directive clauses (comm_collective only).
-  Clauses& pattern(Pattern pattern) { pattern_ = pattern; return *this; }
-  Clauses& root(ClauseExpr expr) { root_ = std::move(expr); return *this; }
+  Clauses& pattern(Pattern pattern) { pattern_ = pattern; return mark(ClauseName::Pattern, true); }
+  Clauses& root(ClauseExpr expr) { return set(root_, std::move(expr), ClauseName::Root); }
   /// Group color: ranks with equal values form one group (< 0 = excluded).
-  Clauses& group(ClauseExpr expr) { group_ = std::move(expr); return *this; }
+  Clauses& group(ClauseExpr expr) { return set(group_, std::move(expr), ClauseName::Group); }
   Clauses& sbuf(BufferRef buffer) { sbuf_.push_back(std::move(buffer)); return *this; }
   Clauses& sbuf(std::initializer_list<BufferRef> buffers) {
     sbuf_.insert(sbuf_.end(), buffers.begin(), buffers.end());
@@ -157,32 +296,55 @@ class Clauses {
     return bindings_;
   }
 
+  /// The clauses present, for the static rules.
+  ClauseFacts facts() const noexcept {
+    ClauseFacts facts;
+    facts.present = present_;
+    if (!sbuf_.empty()) facts.add(ClauseName::Sbuf);
+    if (!rbuf_.empty()) facts.add(ClauseName::Rbuf);
+    facts.sbufs = sbuf_.size();
+    facts.rbufs = rbuf_.size();
+    facts.target = target_.value_or(Target::Mpi2Side);
+    return facts;
+  }
+
   /// Inheritance: p2p clauses layered over a comm_parameters region's
   /// clauses. Every clause present on the p2p wins; absent ones inherit
   /// (paper: instances "do not need to re-express these communication
   /// clauses, but may provide additional assertions").
   static Clauses merged(const Clauses& region, const Clauses& p2p);
 
-  /// Validation of the clauses written directly on a comm_p2p site (before
-  /// inheritance): rejects the comm_parameters-only clauses place_sync and
-  /// max_comm_iter.
+  /// The written-clause rules for a comm_p2p site (before inheritance): no
+  /// comm_parameters-only or comm_collective-only clause, guards paired.
   Status validate_p2p_site() const;
 
-  /// Validation for a standalone or merged comm_p2p: required clauses
-  /// present, sendwhen/receivewhen paired, buffer lists consistent (the
-  /// rules of ClauseView::validate_for_p2p).
+  /// Validation for a standalone or merged comm_p2p (the rules of
+  /// ClauseView::validate_for_p2p).
   Status validate_for_p2p() const;
 
-  /// Validation for a comm_parameters directive: any subset of clauses, with
-  /// sendwhen/receivewhen pairing enforced.
+  /// The static rules for a comm_parameters directive's own clauses.
   Status validate_for_params() const;
 
-  /// Validation for a comm_collective directive: pattern + buffers required,
-  /// root required except for ALL_TO_ALL, point-to-point-only clauses
-  /// rejected.
+  /// The static rules for a comm_collective, then root required except for
+  /// ALL_TO_ALL and matching sbuf/rbuf element types.
   Status validate_for_collective() const;
 
  private:
+  friend class ClauseView;
+
+  Clauses& mark(ClauseName name, bool present) noexcept {
+    const std::uint32_t bit = 1u << static_cast<unsigned>(name);
+    present_ = present ? present_ | bit : present_ & ~bit;
+    return *this;
+  }
+  Clauses& set(ClauseExpr& slot, ClauseExpr expr, ClauseName name) {
+    slot = std::move(expr);
+    return mark(name, slot.present());
+  }
+
+  /// ClauseFacts::present of every clause but the buffer lists, kept by the
+  /// builder so the static rules read it in O(1) on every execution.
+  std::uint32_t present_ = 0;
   ClauseExpr sender_;
   ClauseExpr receiver_;
   ClauseExpr sendwhen_;
@@ -260,8 +422,22 @@ class ClauseView {
     return region_->bindings().size() + site_->bindings().size();
   }
 
-  /// The comm_p2p rules: sender, receiver and both buffer lists present,
-  /// sendwhen/receivewhen paired, buffer pairs of matching element types.
+  /// The clauses present after inheritance, for the static rules.
+  ClauseFacts facts() const noexcept {
+    const std::vector<BufferRef>& sbufs = sbuf_list();
+    const std::vector<BufferRef>& rbufs = rbuf_list();
+    ClauseFacts facts;
+    facts.present = site_->present_ | region_->present_;
+    if (!sbufs.empty()) facts.add(ClauseName::Sbuf);
+    if (!rbufs.empty()) facts.add(ClauseName::Rbuf);
+    facts.sbufs = sbufs.size();
+    facts.rbufs = rbufs.size();
+    facts.target = target_clause().value_or(Target::Mpi2Side);
+    return facts;
+  }
+
+  /// The static rules for a comm_p2p after inheritance, then buffer pairs of
+  /// matching element types.
   Status validate_for_p2p() const;
 
  private:

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
+#include <optional>
+#include <span>
 
 #include "common/strings.hpp"
 
@@ -9,35 +12,98 @@ namespace cid::core {
 
 namespace {
 
+constexpr unsigned kParams = 1u << static_cast<unsigned>(
+                                 DirectiveKind::CommParameters);
+constexpr unsigned kP2P = 1u << static_cast<unsigned>(DirectiveKind::CommP2P);
+constexpr unsigned kCollective =
+    1u << static_cast<unsigned>(DirectiveKind::CommCollective);
+constexpr unsigned kAnyKind = kParams | kP2P | kCollective;
+
+/// One clause of the grammar and its static rules.
 struct ClauseRule {
   std::string_view name;
   std::size_t min_args;
   std::size_t max_args;
+  unsigned written_on;   ///< directive kinds the clause may be written on
+  unsigned required_on;  ///< directive kinds that need it after inheritance
+  /// The clause that must be present exactly when this one is.
+  std::optional<ClauseName> pair;
+  /// The argument's keyword set; empty when it is an expression or buffers.
+  std::span<const std::string_view> keywords;
 };
 
+/// Indexed by ClauseName. docs/DIRECTIVES.md §2 mirrors this table.
 constexpr std::array<ClauseRule, 14> kClauseRules = {{
-    {"sender", 1, 1},
-    {"receiver", 1, 1},
-    {"sbuf", 1, SIZE_MAX},
-    {"rbuf", 1, SIZE_MAX},
-    {"sendwhen", 1, 1},
-    {"receivewhen", 1, 1},
-    {"target", 1, 1},
-    {"count", 1, 1},
-    {"place_sync", 1, 1},
-    {"max_comm_iter", 1, 1},
-    {"reliability", 2, 2},
+    {"sender", 1, 1, kParams | kP2P, kP2P, {}, {}},
+    {"receiver", 1, 1, kParams | kP2P, kP2P, {}, {}},
+    {"sbuf", 1, SIZE_MAX, kAnyKind, kP2P | kCollective, {}, {}},
+    {"rbuf", 1, SIZE_MAX, kAnyKind, kP2P | kCollective, {}, {}},
+    {"sendwhen", 1, 1, kParams | kP2P, 0, ClauseName::Receivewhen, {}},
+    {"receivewhen", 1, 1, kParams | kP2P, 0, {}, {}},
+    {"target", 1, 1, kAnyKind, 0, {}, kTargetKeywords},
+    {"count", 1, 1, kAnyKind, 0, {}, {}},
+    {"place_sync", 1, 1, kParams, 0, {}, kSyncPlacementKeywords},
+    {"max_comm_iter", 1, 1, kParams, 0, {}, {}},
+    {"reliability", 2, 2, kParams, 0, {}, {}},
     // comm_collective extension (paper Section V future work):
-    {"pattern", 1, 1},
-    {"root", 1, 1},
-    {"group", 1, 1},
+    {"pattern", 1, 1, kCollective, kCollective, {}, kPatternKeywords},
+    {"root", 1, 1, kCollective, 0, {}, {}},
+    {"group", 1, 1, kCollective, 0, {}, {}},
 }};
 
-const ClauseRule* find_rule(std::string_view name) {
-  for (const auto& rule : kClauseRules) {
-    if (rule.name == name) return &rule;
+static_assert(kClauseRules.size() ==
+              static_cast<std::size_t>(ClauseName::Group) + 1);
+
+std::optional<ClauseName> find_clause(std::string_view name) {
+  for (std::size_t i = 0; i < kClauseRules.size(); ++i) {
+    if (kClauseRules[i].name == name) return static_cast<ClauseName>(i);
   }
-  return nullptr;
+  return std::nullopt;
+}
+
+constexpr detail::RuleMasks make_rule_masks() {
+  detail::RuleMasks masks;
+  for (std::size_t i = 0; i < kClauseRules.size(); ++i) {
+    const ClauseRule& rule = kClauseRules[i];
+    const std::uint32_t bit = 1u << i;
+    for (unsigned kind = 0; kind < 3; ++kind) {
+      if ((rule.written_on >> kind & 1u) != 0) masks.written_on[kind] |= bit;
+      if ((rule.required_on >> kind & 1u) == 0) continue;
+      masks.required[1][kind] |= bit;
+      if ((rule.written_on & kParams) == 0) masks.required[0][kind] |= bit;
+    }
+    if (rule.pair.has_value()) {
+      masks.paired |= bit | 1u << static_cast<unsigned>(*rule.pair);
+    }
+  }
+  return masks;
+}
+
+/// Indexed by DirectiveKind.
+constexpr std::array<std::string_view, 3> kDirectiveNames = {
+    "comm_parameters", "comm_p2p", "comm_collective"};
+
+/// "comm_parameters or comm_p2p" for a kind mask.
+std::string kinds_text(unsigned kinds) {
+  std::string out;
+  for (std::size_t kind = 0; kind < kDirectiveNames.size(); ++kind) {
+    if ((kinds >> kind & 1u) == 0) continue;
+    out += (out.empty() ? "" : " or ") + std::string(kDirectiveNames[kind]);
+  }
+  return out;
+}
+
+/// The keyword of `name` in `text` when it is not one of the clause's
+/// keywords; null when the keyword is known (or the clause has none).
+const std::string* unknown_keyword(const ParsedDirective& text,
+                                   const ClauseRule& rule) {
+  const RawClause* clause = text.find(rule.name);
+  if (clause == nullptr || rule.keywords.empty()) return nullptr;
+  const std::string& keyword = clause->args[0];
+  return std::find(rule.keywords.begin(), rule.keywords.end(), keyword) ==
+                 rule.keywords.end()
+             ? &keyword
+             : nullptr;
 }
 
 bool ident_char(char c) {
@@ -46,16 +112,89 @@ bool ident_char(char c) {
 
 }  // namespace
 
-std::string_view directive_name(DirectiveKind kind) noexcept {
-  switch (kind) {
-    case DirectiveKind::CommParameters:
-      return "comm_parameters";
-    case DirectiveKind::CommP2P:
-      return "comm_p2p";
-    case DirectiveKind::CommCollective:
-      return "comm_collective";
+std::string_view clause_name(ClauseName name) noexcept {
+  return kClauseRules[static_cast<std::size_t>(name)].name;
+}
+
+namespace detail {
+
+constinit const RuleMasks kRuleMasks = make_rule_masks();
+
+bool any_unknown_keyword(const ParsedDirective& text) {
+  return std::any_of(kClauseRules.begin(), kClauseRules.end(),
+                     [&text](const ClauseRule& rule) {
+                       return unknown_keyword(text, rule) != nullptr;
+                     });
+}
+
+}  // namespace detail
+
+std::vector<RuleViolation> clause_rule_violations(DirectiveKind kind,
+                                                  const ClauseFacts& facts,
+                                                  RuleStage stage) {
+  const detail::Breaks breaks = detail::breaks_of(kind, facts, stage);
+  std::vector<RuleViolation> out;
+  if (!breaks.any()) return out;
+
+  const auto broken = [&out](const char* id, std::optional<ClauseName> clause,
+                             std::string message) {
+    out.push_back(
+        {id, clause, Status(ErrorCode::InvalidClause, std::move(message))});
+  };
+  std::string missing_names;
+  for (std::size_t i = 0; i < kClauseRules.size(); ++i) {
+    const ClauseRule& rule = kClauseRules[i];
+    const auto name = static_cast<ClauseName>(i);
+    if ((breaks.misplaced >> i & 1u) != 0) {
+      broken("CID-P001", name,
+             std::string(rule.name) + " may only be used with " +
+                 kinds_text(rule.written_on));
+    }
+    if (breaks.unpaired && rule.pair.has_value()) {
+      broken("CID-P001", name,
+             std::string(rule.name) + " and " +
+                 std::string(clause_name(*rule.pair)) +
+                 " must both be present or both be omitted");
+    }
+    if (const std::string* keyword =
+            breaks.unknown_keywords ? unknown_keyword(*facts.text, rule)
+                                    : nullptr) {
+      broken("CID-S032", name,
+             std::string(rule.name) + "(" + *keyword + "): unknown " +
+                 std::string(rule.name) + " keyword '" + *keyword + "'");
+    }
+    if ((breaks.missing >> i & 1u) != 0) {
+      if (!missing_names.empty()) missing_names += ", ";
+      missing_names += rule.name;
+    }
   }
-  return "comm_unknown";
+  if (breaks.missing != 0) {
+    broken("CID-P005", std::nullopt,
+           std::string(directive_name(kind)) +
+               " is missing required clause(s) after inheritance: " +
+               missing_names);
+  }
+  if (breaks.bad_counts) {
+    broken("CID-P006", std::nullopt,
+           kind == DirectiveKind::CommCollective
+               ? std::string(
+                     "comm_collective takes exactly one sbuf and one rbuf")
+               : "sbuf lists " + std::to_string(facts.sbufs) +
+                     " buffer(s) but rbuf lists " +
+                     std::to_string(facts.rbufs) +
+                     "; paired send/receive buffers must agree in number");
+  }
+  if (breaks.unreliable_target) {
+    broken("CID-S035", ClauseName::Reliability,
+           "reliability requires TARGET_COMM_MPI_2SIDE, but the directive "
+           "targets " +
+               std::string(target_keyword(facts.target)));
+  }
+  return out;
+}
+
+std::string_view directive_name(DirectiveKind kind) noexcept {
+  return kDirectiveNames[static_cast<std::size_t>(kind)];
 }
 
 const RawClause* ParsedDirective::find(std::string_view name) const noexcept {
@@ -63,6 +202,23 @@ const RawClause* ParsedDirective::find(std::string_view name) const noexcept {
     if (clause.name == name) return &clause;
   }
   return nullptr;
+}
+
+ClauseFacts ParsedDirective::facts() const {
+  ClauseFacts facts;
+  facts.text = this;
+  for (const RawClause& clause : clauses) {
+    const std::optional<ClauseName> name = find_clause(clause.name);
+    if (!name.has_value()) continue;
+    facts.add(*name);
+    if (*name == ClauseName::Sbuf) facts.sbufs = clause.args.size();
+    if (*name == ClauseName::Rbuf) facts.rbufs = clause.args.size();
+    if (*name == ClauseName::Target) {
+      auto target = parse_target_keyword(clause.args[0]);
+      if (target.is_ok()) facts.target = target.value();
+    }
+  }
+  return facts;
 }
 
 Result<ParsedDirective> parse_pragma(std::string_view line) {
@@ -106,8 +262,8 @@ Result<ParsedDirective> parse_pragma(std::string_view line) {
     clause.offset = static_cast<std::size_t>(rest.data() - line.data());
     rest = trim(rest.substr(i));
 
-    const ClauseRule* rule = find_rule(clause.name);
-    if (rule == nullptr) {
+    const std::optional<ClauseName> name = find_clause(clause.name);
+    if (!name.has_value()) {
       return Status(ErrorCode::InvalidClause,
                     "unknown clause '" + clause.name + "'");
     }
@@ -142,134 +298,23 @@ Result<ParsedDirective> parse_pragma(std::string_view line) {
       }
       clause.args.emplace_back(arg);
     }
-    if (clause.args.size() < rule->min_args ||
-        clause.args.size() > rule->max_args) {
+    const ClauseRule& rule = kClauseRules[static_cast<std::size_t>(*name)];
+    if (clause.args.size() < rule.min_args ||
+        clause.args.size() > rule.max_args) {
       return Status(ErrorCode::InvalidClause,
                     "clause '" + clause.name + "' has " +
                         std::to_string(clause.args.size()) +
                         " arguments, expected " +
-                        (rule->min_args == rule->max_args
-                             ? std::to_string(rule->min_args)
-                             : "at least " + std::to_string(rule->min_args)));
+                        (rule.min_args == rule.max_args
+                             ? std::to_string(rule.min_args)
+                             : "at least " + std::to_string(rule.min_args)));
     }
     directive.clauses.push_back(std::move(clause));
   }
 
-  // Directive-level structural checks that need no evaluation.
-  if (directive.kind == DirectiveKind::CommP2P) {
-    if (directive.find("place_sync") != nullptr) {
-      return Status(ErrorCode::InvalidClause,
-                    "place_sync may only be used with comm_parameters");
-    }
-    if (directive.find("max_comm_iter") != nullptr) {
-      return Status(ErrorCode::InvalidClause,
-                    "max_comm_iter may only be used with comm_parameters");
-    }
-    if (directive.find("reliability") != nullptr) {
-      return Status(ErrorCode::InvalidClause,
-                    "reliability may only be used with comm_parameters");
-    }
-  }
-  if (directive.kind != DirectiveKind::CommCollective) {
-    for (const char* name : {"pattern", "root", "group"}) {
-      if (directive.find(name) != nullptr) {
-        return Status(ErrorCode::InvalidClause,
-                      std::string(name) +
-                          " may only be used with comm_collective");
-      }
-    }
-  } else {
-    for (const char* name :
-         {"sender", "receiver", "sendwhen", "receivewhen", "place_sync",
-          "max_comm_iter", "reliability"}) {
-      if (directive.find(name) != nullptr) {
-        return Status(ErrorCode::InvalidClause,
-                      std::string(name) + " does not apply to "
-                      "comm_collective");
-      }
-    }
-    if (directive.find("pattern") == nullptr) {
-      return Status(ErrorCode::InvalidClause,
-                    "comm_collective requires the pattern clause");
-    }
-  }
-  const bool has_sendwhen = directive.find("sendwhen") != nullptr;
-  const bool has_receivewhen = directive.find("receivewhen") != nullptr;
-  if (has_sendwhen != has_receivewhen) {
-    return Status(ErrorCode::InvalidClause,
-                  "sendwhen and receivewhen must both be present or both be "
-                  "omitted");
-  }
+  CID_RETURN_IF_ERROR(check_clause_rules(directive.kind, directive.facts(),
+                                         RuleStage::Written));
   return directive;
-}
-
-Result<BufferRef> BufferTable::lookup(const std::string& name) const {
-  auto it = buffers_.find(name);
-  if (it == buffers_.end()) {
-    return Status(ErrorCode::InvalidClause,
-                  "buffer '" + name + "' is not bound in the buffer table");
-  }
-  return it->second;
-}
-
-Result<Clauses> clauses_from_parsed(const ParsedDirective& directive,
-                                    const BufferTable* buffers) {
-  Clauses out;
-  for (const auto& clause : directive.clauses) {
-    if (clause.name == "sender" || clause.name == "receiver" ||
-        clause.name == "sendwhen" || clause.name == "receivewhen" ||
-        clause.name == "count" || clause.name == "max_comm_iter" ||
-        clause.name == "root" || clause.name == "group") {
-      auto expr = Expr::parse(clause.args[0]);
-      if (!expr.is_ok()) return expr.status();
-      ClauseExpr value(std::move(expr).take());
-      if (clause.name == "sender") out.sender(std::move(value));
-      else if (clause.name == "receiver") out.receiver(std::move(value));
-      else if (clause.name == "sendwhen") out.sendwhen(std::move(value));
-      else if (clause.name == "receivewhen") out.receivewhen(std::move(value));
-      else if (clause.name == "count") out.count(std::move(value));
-      else if (clause.name == "root") out.root(std::move(value));
-      else if (clause.name == "group") out.group(std::move(value));
-      else out.max_comm_iter(std::move(value));
-    } else if (clause.name == "reliability") {
-      auto timeout = Expr::parse(clause.args[0]);
-      if (!timeout.is_ok()) return timeout.status();
-      auto retries = Expr::parse(clause.args[1]);
-      if (!retries.is_ok()) return retries.status();
-      out.reliability(ClauseExpr(std::move(timeout).take()),
-                      ClauseExpr(std::move(retries).take()));
-    } else if (clause.name == "pattern") {
-      auto pattern = parse_pattern_keyword(clause.args[0]);
-      if (!pattern.is_ok()) return pattern.status();
-      out.pattern(pattern.value());
-    } else if (clause.name == "target") {
-      auto target = parse_target_keyword(clause.args[0]);
-      if (!target.is_ok()) return target.status();
-      out.target(target.value());
-    } else if (clause.name == "place_sync") {
-      auto placement = parse_sync_placement_keyword(clause.args[0]);
-      if (!placement.is_ok()) return placement.status();
-      out.place_sync(placement.value());
-    } else if (clause.name == "sbuf" || clause.name == "rbuf") {
-      if (buffers == nullptr) {
-        return Status(ErrorCode::InvalidClause,
-                      "directive lists buffers but no buffer table was "
-                      "provided");
-      }
-      for (const auto& arg : clause.args) {
-        auto buffer = buffers->lookup(arg);
-        if (!buffer.is_ok()) return buffer.status();
-        BufferRef ref = std::move(buffer).take();
-        if (ref.name.empty()) ref.name = arg;
-        if (clause.name == "sbuf") out.sbuf(std::move(ref));
-        else out.rbuf(std::move(ref));
-      }
-    } else {
-      return Status(ErrorCode::InvalidClause,
-                    "unhandled clause '" + clause.name + "'");
-    }
-  }
-  return out;
 }
 
 }  // namespace cid::core

@@ -2,12 +2,12 @@
 //   #pragma comm_parameters sender(rank-1) receiver(rank+1) ...
 //   #pragma comm_p2p sbuf(buf1) rbuf(buf2) count(n)
 //
-// parse_pragma() produces a structural representation used by the
-// source-to-source translator and by the string-based runtime API
-// (clauses_from_parsed + a BufferTable binding buffer names to BufferRefs).
+// parse_pragma() produces the structural representation that the directive
+// scanner (translate/scan.hpp) builds its tree from, for the translator, the
+// analyzer and the explorer. The clause table behind it (kClauseRules in
+// pragma.cpp) also carries the static clause rules of clauses.hpp.
 #pragma once
 
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,10 +15,6 @@
 #include "core/clauses.hpp"
 
 namespace cid::core {
-
-enum class DirectiveKind { CommParameters, CommP2P, CommCollective };
-
-std::string_view directive_name(DirectiveKind kind) noexcept;
 
 struct RawClause {
   std::string name;
@@ -35,30 +31,15 @@ struct ParsedDirective {
 
   /// First clause with the given name, or nullptr.
   const RawClause* find(std::string_view name) const noexcept;
+
+  /// The clauses present, for the static rules; keeps a pointer to this
+  /// directive for the keyword checks.
+  ClauseFacts facts() const;
 };
 
 /// Parse one pragma line (continuation lines already joined). Accepts both
 /// "#pragma comm_p2p ..." and the bare "comm_p2p ..." form. Validates clause
-/// names, arity and duplicates.
+/// names, arity and duplicates, and the written-clause rules.
 Result<ParsedDirective> parse_pragma(std::string_view line);
-
-/// Binds buffer names appearing in textual sbuf/rbuf clauses to BufferRefs.
-class BufferTable {
- public:
-  void add(std::string name, BufferRef buffer) {
-    buffers_[std::move(name)] = std::move(buffer);
-  }
-  /// Lookup by the exact clause argument text (e.g. "buf1", "&ev[3*p]").
-  Result<BufferRef> lookup(const std::string& name) const;
-
- private:
-  std::map<std::string, BufferRef> buffers_;
-};
-
-/// Build an executable clause set from a parsed directive. Expression
-/// clauses are parsed into Exprs; sbuf/rbuf arguments are resolved through
-/// `buffers` (must be non-null when the directive lists buffers).
-Result<Clauses> clauses_from_parsed(const ParsedDirective& directive,
-                                    const BufferTable* buffers);
 
 }  // namespace cid::core

@@ -456,12 +456,6 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
     record_tune_observations(state, ctx, site, sbufs, rbufs, count);
   }
 
-  if (merged.reliability_present()) {
-    CID_REQUIRE(target == Target::Mpi2Side, ErrorCode::InvalidClause,
-                "reliability requires TARGET_COMM_MPI_2SIDE (got " +
-                    std::string(target_keyword(target)) + ")");
-  }
-
   // Per-pair tuned refinements of the two-sided lowering. Both sides of a
   // transfer evaluate the same predicates from the same profile entry and
   // clause set (SPMD discipline), so they always agree on the wire format.

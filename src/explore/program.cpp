@@ -65,21 +65,12 @@ struct Builder {
                  "(CID-P003 territory)");
       return;
     }
-    if (!op.sender.present || !op.receiver.present) {
-      note(node, "comm_p2p skipped: missing sender/receiver after "
-                 "inheritance (CID-P005 territory)");
-      return;
-    }
-    if (const auto* sbuf = merged.find("sbuf");
-        sbuf != nullptr && !sbuf->args.empty()) {
-      op.sbuf = sbuf->args[0];
-      if (sbuf->args.size() > 1) {
-        note(node, "only the first sbuf/rbuf pair is modeled");
-      }
-    }
-    if (const auto* rbuf = merged.find("rbuf");
-        rbuf != nullptr && !rbuf->args.empty()) {
-      op.rbuf = rbuf->args[0];
+    // The scanner has checked that both buffer lists are present.
+    const core::RawClause* sbuf = merged.find("sbuf");
+    op.sbuf = sbuf->args[0];
+    op.rbuf = merged.find("rbuf")->args[0];
+    if (sbuf->args.size() > 1) {
+      note(node, "only the first sbuf/rbuf pair is modeled");
     }
     if (op.sender.symbolic || op.receiver.symbolic || op.sendwhen.symbolic ||
         op.receivewhen.symbolic) {
@@ -94,28 +85,12 @@ struct Builder {
     op.collective = true;
     op.site = new_site(node.line);
     op.line = node.line;
-    const core::RawClause* pattern = merged.find("pattern");
-    if (pattern == nullptr || pattern->args.empty()) {
-      note(node, "comm_collective skipped: missing pattern clause");
-      return;
-    }
-    auto kind = core::parse_pattern_keyword(pattern->args[0]);
-    if (!kind.is_ok()) {
-      note(node, "comm_collective skipped: unknown pattern '" +
-                     pattern->args[0] + "'");
-      return;
-    }
-    switch (kind.value()) {
-      case core::Pattern::OneToMany:
-        op.kind = CollectiveKind::Bcast;
-        break;
-      case core::Pattern::ManyToOne:
-        op.kind = CollectiveKind::Gather;
-        break;
-      case core::Pattern::AllToAll:
-        op.kind = CollectiveKind::AllToAll;
-        break;
-    }
+    // Indexed by core::Pattern; the scanner has checked the keyword.
+    constexpr CollectiveKind kKinds[] = {CollectiveKind::Bcast,
+                                         CollectiveKind::Gather,
+                                         CollectiveKind::AllToAll};
+    op.kind = kKinds[static_cast<int>(
+        core::parse_pattern_keyword(merged.find("pattern")->args[0]).value())];
     bool unparsable = false;
     op.root = prepare_clause(merged, "root", &unparsable);
     if (unparsable) {

@@ -65,9 +65,9 @@ struct Program {
 };
 
 /// Build the program from annotated source. Fails, like the translator, on
-/// the first scan issue ("line N: <message>"); directives that are unusable
-/// (missing required clauses, unparsable expressions) are skipped with a
-/// note — the static analyzer already reports those as CID-P0xx errors.
+/// the first scan issue ("line N: <message>"), which covers the static
+/// clause rules; a directive whose clause expression does not parse is
+/// skipped with a note — the static analyzer reports it as CID-P003.
 Result<Program> build_program(std::string_view source);
 
 }  // namespace cid::explore

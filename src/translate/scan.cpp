@@ -1,5 +1,6 @@
 #include "translate/scan.hpp"
 
+#include <algorithm>
 #include <cctype>
 
 #include "common/strings.hpp"
@@ -163,7 +164,37 @@ std::vector<unsigned char> code_mask(std::string_view text) {
   return mask;
 }
 
+int clause_column(const DirectiveNode& node, const core::RawClause& clause) {
+  // Clause offsets index the joined pragma text; for single-line pragmas
+  // that text starts at the '#', so the offset maps straight to a column.
+  if (node.pragma_continued) return node.column;
+  const core::RawClause* own = node.directive.find(clause.name);
+  if (own == nullptr || own->offset != clause.offset) return node.column;
+  return node.column + static_cast<int>(clause.offset);
+}
+
+Status at_line(int line, const Status& status) {
+  return Status(status.code(),
+                "line " + std::to_string(line) + ": " + status.message());
+}
+
 namespace {
+
+/// The static clause rules a node's resolved clauses break: the shared rule
+/// set, plus the translated collective's need for an explicit count.
+std::vector<core::RuleViolation> rule_violations(
+    const core::ParsedDirective& resolved) {
+  std::vector<core::RuleViolation> broken = core::clause_rule_violations(
+      resolved.kind, resolved.facts(), core::RuleStage::Resolved);
+  if (broken.empty() && resolved.kind == core::DirectiveKind::CommCollective &&
+      resolved.find("count") == nullptr) {
+    broken.push_back({"CID-P005", std::nullopt,
+                      Status(ErrorCode::InvalidClause,
+                             "comm_collective is missing required clause(s) "
+                             "after inheritance: count")});
+  }
+  return broken;
+}
 
 /// Textual clause inheritance: `inner`'s clauses layered over `outer`'s.
 core::ParsedDirective merge_directives(const core::ParsedDirective& outer,
@@ -205,6 +236,47 @@ class Scanner {
               Status(ErrorCode::ParseError, std::move(message)));
   }
 
+  /// Check `node`'s resolved clauses against the static rules. A rule the
+  /// enclosing region breaks the same way is reported once, at the region.
+  void check_rules(DirectiveNode& node, const DirectiveNode* enclosing) {
+    std::vector<core::RuleViolation> broken = rule_violations(node.resolved);
+    if (broken.empty()) return;
+    node.rejected = true;
+    const std::vector<core::RuleViolation> inherited =
+        enclosing != nullptr && enclosing->rejected
+            ? rule_violations(enclosing->resolved)
+            : std::vector<core::RuleViolation>{};
+    for (core::RuleViolation& rule : broken) {
+      const bool reported = std::any_of(
+          inherited.begin(), inherited.end(), [&rule](const auto& outer) {
+            return outer.status.message() == rule.status.message();
+          });
+      if (reported) continue;
+      const int column =
+          rule.clause.has_value()
+              ? clause_column(node, *node.resolved.find(
+                                        core::clause_name(*rule.clause)))
+              : node.column;
+      tree_.issues.push_back(
+          {rule.id, node.line, column, std::move(rule.status)});
+    }
+  }
+
+  /// source_[begin, end) with each comment blanked: a run of non-code bytes
+  /// that opens with "//" or "/*" (string literals are kept).
+  std::string without_comments(std::size_t begin, std::size_t end) const {
+    std::string text(source_.substr(begin, end - begin));
+    for (std::size_t i = begin; i < end; ++i) {
+      if (tree_.mask[i] != 0 || (i > begin && tree_.mask[i - 1] == 0)) continue;
+      const bool comment = source_[i] == '/' && i + 1 < source_.size() &&
+                           (source_[i + 1] == '/' || source_[i + 1] == '*');
+      for (std::size_t j = i; j < end && tree_.mask[j] == 0; ++j) {
+        if (comment) text[j - begin] = ' ';
+      }
+    }
+    return text;
+  }
+
   /// Collect the pragma line starting at `i` (joining backslash
   /// continuations); sets `cursor` just past it. Returns false (with an
   /// issue) when a continuation runs off the end of the range.
@@ -216,7 +288,7 @@ class Scanner {
     for (;;) {
       std::size_t eol = source_.find('\n', cursor);
       if (eol == std::string_view::npos || eol > end) eol = end;
-      std::string_view line = source_.substr(cursor, eol - cursor);
+      const std::string line = without_comments(cursor, eol);
       const bool at_end = eol >= end;
       cursor = at_end ? end : eol + 1;
       std::string_view trimmed = cid::trim(line);
@@ -238,10 +310,10 @@ class Scanner {
   }
 
   /// Scan every directive in [begin, end) into `nodes`; `enclosing` is the
-  /// innermost enclosing region's resolved clauses (nullptr at top level).
+  /// innermost enclosing directive (nullptr at top level).
   void scan_range(std::size_t begin, std::size_t end,
                   std::vector<DirectiveNode>& nodes,
-                  const core::ParsedDirective* enclosing) {
+                  const DirectiveNode* enclosing) {
     std::size_t i = begin;
     while (i < end) {
       if (directive_at(i)) {
@@ -256,7 +328,7 @@ class Scanner {
   /// position to continue from.
   std::size_t scan_directive(std::size_t i, std::size_t end,
                              std::vector<DirectiveNode>& nodes,
-                             const core::ParsedDirective* enclosing) {
+                             const DirectiveNode* enclosing) {
     std::string pragma_text;
     std::size_t cursor = 0;
     bool continued = false;
@@ -271,12 +343,13 @@ class Scanner {
     DirectiveNode node;
     node.directive = std::move(parsed).take();
     node.resolved = enclosing != nullptr
-                        ? merge_directives(*enclosing, node.directive)
+                        ? merge_directives(enclosing->resolved, node.directive)
                         : node.directive;
     node.pragma_continued = continued;
     node.line = line_of(source_, i);
     node.column = column_of(source_, i);
     node.pragma_begin = i;
+    check_rules(node, enclosing);
     const bool region =
         node.directive.kind == core::DirectiveKind::CommParameters;
 
@@ -308,7 +381,7 @@ class Scanner {
       std::vector<DirectiveNode> inner;
       const std::size_t before = tree_.issues.size();
       const std::size_t after =
-          scan_directive(body_begin, end, inner, &node.resolved);
+          scan_directive(body_begin, end, inner, &node);
       if (inner.empty()) {
         // The nested directive failed to scan; its issue is already recorded.
         if (tree_.issues.size() == before) {
@@ -336,14 +409,13 @@ class Scanner {
     }
 
     if (region) {
-      scan_range(node.body_begin, node.body_end, node.children,
-                 &node.resolved);
+      scan_range(node.body_begin, node.body_end, node.children, &node);
     } else {
       // The body of a comm_p2p is its overlapped computation and that of a
       // comm_collective its post-collective statement: plain code, never
       // communication. A directive there is rejected, not lowered.
       std::vector<DirectiveNode> nested;
-      scan_range(node.body_begin, node.body_end, nested, &node.resolved);
+      scan_range(node.body_begin, node.body_end, nested, &node);
       for (const DirectiveNode& inner : nested) {
         add_structural(inner.pragma_begin,
                        "directive nested inside a " +

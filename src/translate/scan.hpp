@@ -6,10 +6,12 @@
 // each #pragma comm_* in live code, parsed, with its source location, its
 // attached-body extent, its nesting, and its clauses with inheritance from
 // the enclosing comm_parameters regions already resolved. Pragma text in
-// comments and string literals is not a directive. Only a comm_parameters
-// region may enclose directives: one inside a comm_p2p or comm_collective
-// body is a scan issue. Malformed pragmas and structural problems (missing
-// body, unbalanced braces, unterminated continuations) are reported as
+// comments and string literals is not a directive, and a comment on a pragma
+// line is not part of it. Only a comm_parameters region may enclose
+// directives: one inside a comm_p2p or comm_collective body is a scan issue.
+// Malformed pragmas, structural problems (missing body, unbalanced braces,
+// unterminated continuations) and broken static clause rules (checked on each
+// node's resolved clauses, core::clause_rule_violations) are reported as
 // ScanIssues instead of aborting the scan, so one bad directive does not hide
 // the rest of the file.
 #pragma once
@@ -61,13 +63,26 @@ struct DirectiveNode {
   std::size_t node_end = 0;      ///< offset just past the whole construct
   bool body_is_block = false;
   bool pragma_continued = false;  ///< pragma spanned '\'-continued lines
+  /// The resolved clauses break a static clause rule (reported as a scan
+  /// issue here or, when the enclosing region breaks it the same way, there).
+  bool rejected = false;
   /// Directives nested in the body; only a comm_parameters region has any.
   std::vector<DirectiveNode> children;
 };
 
+/// Column of a clause of `node.resolved` within its pragma: the pragma's own
+/// column for a clause inherited from an enclosing region or written on a
+/// '\'-continued pragma, where joined offsets do not map back.
+int clause_column(const DirectiveNode& node, const core::RawClause& clause);
+
+/// `status` as a front-end error about line `line`: "line N: <message>".
+Status at_line(int line, const Status& status);
+
 /// A problem found while scanning: a malformed pragma line (CID-P001), a
-/// structural error around a directive (CID-P002) or a '\' continuation
-/// running off the end of the input (CID-P004). `status` carries the message.
+/// structural error around a directive (CID-P002), a '\' continuation
+/// running off the end of the input (CID-P004), or a broken static clause
+/// rule under its own id (CID-P005, CID-P006, CID-S032, CID-S035). `status`
+/// carries the message.
 struct ScanIssue {
   const char* id = "CID-P001";
   int line = 0;
@@ -75,10 +90,7 @@ struct ScanIssue {
   Status status;
 
   /// The issue as a front-end error: "line N: <message>", same code.
-  Status located() const {
-    return Status(status.code(),
-                  "line " + std::to_string(line) + ": " + status.message());
-  }
+  Status located() const { return at_line(line, status); }
 };
 
 struct DirectiveTree {
@@ -88,7 +100,8 @@ struct DirectiveTree {
 };
 
 /// Scan a whole source buffer into its directive tree. Never fails: problems
-/// are reported through `issues` and the affected directive is skipped.
+/// are reported through `issues`; a directive that does not parse or has no
+/// body is skipped, one that breaks a clause rule is kept and `rejected`.
 DirectiveTree scan_directives(std::string_view source);
 
 }  // namespace cid::translate

@@ -87,13 +87,17 @@ class Translator {
     std::size_t i = begin;
     for (const DirectiveNode& node : nodes) {
       out.append(source_.substr(i, node.pragma_begin - i));
-      auto code = node.directive.kind == DirectiveKind::CommParameters
-                      ? emit_region(node)
-                  : node.directive.kind == DirectiveKind::CommCollective
-                      ? emit_collective(node, region)
-                      : emit_p2p(node, region);
-      if (!code.is_ok()) return code.status();
-      out += std::move(code).take();
+      if (node.directive.kind == DirectiveKind::CommParameters) {
+        auto code = emit_region(node);
+        if (!code.is_ok()) return code.status();
+        out += std::move(code).take();
+      } else if (node.directive.kind == DirectiveKind::CommCollective) {
+        const Status lowerable = collective_lowerable(node, region);
+        if (!lowerable.is_ok()) return at_line(node.line, lowerable);
+        out += emit_collective(node);
+      } else {
+        out += emit_p2p(node, region);
+      }
       i = node.node_end;
     }
     out.append(source_.substr(i, end - i));
@@ -112,12 +116,11 @@ class Translator {
   Target directive_target(const ParsedDirective& directive) const {
     const RawClause* clause = directive.find("target");
     if (clause == nullptr) return options_.default_target;
-    auto target = core::parse_target_keyword(clause->args[0]);
-    if (!target.is_ok()) return options_.default_target;
-    // target(auto) adapts per site at runtime (cid::tune); the open-coded
-    // translation is static, so it lowers to the configured default.
-    if (target.value() == Target::Auto) return options_.default_target;
-    return target.value();
+    // The scanner has checked the keyword. target(auto) adapts per site at
+    // runtime (cid::tune); the open-coded translation is static, so it
+    // lowers to the configured default.
+    const Target target = core::parse_target_keyword(clause->args[0]).value();
+    return target == Target::Auto ? options_.default_target : target;
   }
 
   std::string annotate(const std::string& note) const {
@@ -134,8 +137,11 @@ class Translator {
   }
 
   /// Rebuild a parsed clause set as a ::cid::core::Clauses builder chain for
-  /// the embedded-API lowering (reliable regions).
-  Result<std::string> clauses_builder(const ParsedDirective& directive) {
+  /// the embedded-API lowering (reliable regions). The scanner has checked
+  /// the keywords, and that a reliable directive targets two-sided MPI or
+  /// TARGET_COMM_AUTO (resolved per site by the runtime, which forces the
+  /// two-sided lowering under reliability: tune::auto_target).
+  static std::string clauses_builder(const ParsedDirective& directive) {
     std::string out = "::cid::core::Clauses()";
     for (const auto& clause : directive.clauses) {
       if (clause.name == "sender" || clause.name == "receiver" ||
@@ -147,38 +153,21 @@ class Translator {
         out += "\n    .reliability(" + expr_lambda(clause.args[0]) + ", " +
                expr_lambda(clause.args[1]) + ")";
       } else if (clause.name == "target") {
-        auto target = core::parse_target_keyword(clause.args[0]);
-        if (!target.is_ok()) return target.status();
-        if (target.value() == Target::Auto) {
-          // Resolved per site by the runtime; reliability forces the
-          // two-sided lowering there (tune::auto_target).
-          out += "\n    .target(::cid::core::Target::Auto)";
-        } else if (target.value() != Target::Mpi2Side) {
-          return Status(ErrorCode::UnsupportedTarget,
-                        "reliability requires TARGET_COMM_MPI_2SIDE");
-        } else {
-          out += "\n    .target(::cid::core::Target::Mpi2Side)";
-        }
+        out += clause.args[0] == "TARGET_COMM_AUTO"
+                   ? "\n    .target(::cid::core::Target::Auto)"
+                   : "\n    .target(::cid::core::Target::Mpi2Side)";
       } else if (clause.name == "place_sync") {
-        auto placement = core::parse_sync_placement_keyword(clause.args[0]);
-        if (!placement.is_ok()) return placement.status();
-        const char* keyword =
-            placement.value() == SyncPlacement::EndParamRegion
-                ? "EndParamRegion"
-                : placement.value() == SyncPlacement::BeginNextParamRegion
-                      ? "BeginNextParamRegion"
-                      : "EndAdjParamRegions";
+        constexpr const char* kPlacements[] = {
+            "EndParamRegion", "BeginNextParamRegion", "EndAdjParamRegions"};
+        const SyncPlacement placement =
+            core::parse_sync_placement_keyword(clause.args[0]).value();
         out += "\n    .place_sync(::cid::core::SyncPlacement::" +
-               std::string(keyword) + ")";
+               std::string(kPlacements[static_cast<int>(placement)]) + ")";
       } else if (clause.name == "sbuf" || clause.name == "rbuf") {
         for (const auto& arg : clause.args) {
           out += "\n    ." + clause.name + "(::cid::core::buf(" + arg +
                  ", \"" + arg + "\"))";
         }
-      } else {
-        return Status(ErrorCode::InvalidClause,
-                      "clause '" + clause.name +
-                          "' is not supported in a reliability region");
       }
     }
     return out;
@@ -200,8 +189,6 @@ class Translator {
       // lives in the runtime, so the region is lowered through the embedded
       // API instead of open-coded message passing; nested comm_p2p
       // directives become Region::p2p calls on the lambda's Region.
-      auto builder = clauses_builder(node.resolved);
-      if (!builder.is_ok()) return builder.status();
       auto body = translate_range(node.body_begin, node.body_end,
                                   node.children, &region);
       if (!body.is_ok()) return body.status();
@@ -209,7 +196,7 @@ class Translator {
       out += "{ " + annotate("comm_parameters region " + std::to_string(id) +
                              " (reliable: runtime-lowered)") + "\n";
       out += drain_deferred(/*only_begin_next=*/true);
-      out += "::cid::core::comm_parameters(" + std::move(builder).take() +
+      out += "::cid::core::comm_parameters(" + clauses_builder(node.resolved) +
              ",\n    [&](::cid::core::Region& " + region.region_var +
              ") {\n";
       out += std::move(body).take();
@@ -227,12 +214,11 @@ class Translator {
     if (!body.is_ok()) return body.status();
 
     // place_sync is read off the region's own clauses, never inherited.
-    SyncPlacement placement = SyncPlacement::EndParamRegion;
-    if (const RawClause* clause = node.directive.find("place_sync")) {
-      auto parsed = core::parse_sync_placement_keyword(clause->args[0]);
-      if (!parsed.is_ok()) return parsed.status();
-      placement = parsed.value();
-    }
+    const RawClause* place_sync = node.directive.find("place_sync");
+    const SyncPlacement placement =
+        place_sync == nullptr
+            ? SyncPlacement::EndParamRegion
+            : core::parse_sync_placement_keyword(place_sync->args[0]).value();
 
     std::string sync_code;
     if (region.used_mpi2) {
@@ -307,42 +293,36 @@ class Translator {
     return out;
   }
 
-  /// The collective-directive extension (paper Section V): lowered to the
-  /// cid::mpi collectives on a group communicator. Only the (default) MPI
-  /// two-sided target is supported by generated code; retarget via the
-  /// embedded API for SHMEM collectives.
-  Result<std::string> emit_collective(const DirectiveNode& node,
-                                      RegionContext* region) {
-    ++summary_.p2p_directives;  // counted with the point-to-point directives
-    const int id = next_id_++;
-
+  /// The two rules only the translator has: the open-coded collective
+  /// cannot join a reliability region's runtime-lowered body, and it speaks
+  /// only MPI two-sided (retarget via the embedded API for SHMEM).
+  Status collective_lowerable(const DirectiveNode& node,
+                              const RegionContext* region) const {
     if (region != nullptr && region->reliable) {
       return Status(ErrorCode::InvalidClause,
                     "comm_collective inside a reliability region is not "
                     "supported (reliability covers point-to-point transfers)");
     }
-
-    const ParsedDirective& merged = node.resolved;
-    const Target target = directive_target(merged);
-    if (target != Target::Mpi2Side) {
+    if (directive_target(node.resolved) != Target::Mpi2Side) {
       return Status(ErrorCode::UnsupportedTarget,
                     "translated comm_collective supports only "
                     "TARGET_COMM_MPI_2SIDE; use the embedded API for other "
                     "targets");
     }
+    return Status::ok();
+  }
+
+  /// The collective-directive extension (paper Section V): lowered to the
+  /// cid::mpi collectives on a group communicator.
+  std::string emit_collective(const DirectiveNode& node) {
+    ++summary_.p2p_directives;  // counted with the point-to-point directives
+    const int id = next_id_++;
+
+    const ParsedDirective& merged = node.resolved;
     const std::string pattern = clause_arg(merged, "pattern");
     const auto sbufs = clause_args(merged, "sbuf");
     const auto rbufs = clause_args(merged, "rbuf");
-    if (sbufs.size() != 1 || rbufs.size() != 1) {
-      return Status(ErrorCode::InvalidClause,
-                    "comm_collective takes exactly one sbuf and one rbuf");
-    }
     const std::string count = clause_arg(merged, "count");
-    if (count.empty()) {
-      return Status(ErrorCode::InvalidClause,
-                    "translated comm_collective requires an explicit count "
-                    "clause");
-    }
     const std::string root = clause_arg(merged, "root", "0");
     const std::string group = clause_arg(merged, "group");
     const std::string& sb = sbufs[0];
@@ -376,14 +356,11 @@ class Translator {
              ".rank() == (" + root +
              ") ? static_cast<void*>(::cid::trt::data_ptr(" + rb +
              ")) : nullptr, (" + root + "));\n";
-    } else if (pattern == "PATTERN_ALL_TO_ALL") {
+    } else {  // PATTERN_ALL_TO_ALL
       out += "::cid::mpi::alltoall(" + comm_var + ", ::cid::trt::data_ptr(" +
              sb + "), static_cast<std::size_t>(" + count +
              "), ::cid::trt::datatype_of_expr(" + sb +
              "), ::cid::trt::data_ptr(" + rb + "));\n";
-    } else {
-      return Status(ErrorCode::InvalidClause,
-                    "unknown pattern keyword '" + pattern + "'");
     }
     out += "}\n";
 
@@ -396,30 +373,13 @@ class Translator {
     return out;
   }
 
-  Result<std::string> emit_p2p(const DirectiveNode& node,
-                               RegionContext* region) {
+  std::string emit_p2p(const DirectiveNode& node, RegionContext* region) {
     ++summary_.p2p_directives;
     const int id = next_id_++;
 
     const ParsedDirective& merged = node.resolved;
-
-    // Static validation mirroring Clauses::validate_for_p2p.
     const auto sbufs = clause_args(merged, "sbuf");
     const auto rbufs = clause_args(merged, "rbuf");
-    if (sbufs.empty() || rbufs.empty()) {
-      return Status(ErrorCode::InvalidClause,
-                    "comm_p2p requires sbuf and rbuf clauses");
-    }
-    if (sbufs.size() != rbufs.size()) {
-      return Status(ErrorCode::InvalidClause,
-                    "sbuf and rbuf must list the same number of buffers");
-    }
-    if (merged.find("sender") == nullptr ||
-        merged.find("receiver") == nullptr) {
-      return Status(ErrorCode::InvalidClause,
-                    "comm_p2p requires sender and receiver clauses");
-    }
-
     const std::string sender = clause_arg(merged, "sender");
     const std::string receiver = clause_arg(merged, "receiver");
     const std::string sendwhen = clause_arg(merged, "sendwhen");
@@ -449,11 +409,9 @@ class Translator {
       // retransmission protocol); emit a Region::p2p call with the site's
       // own clauses — inheritance happens in the runtime, like the paper's
       // region-scoped assertions.
-      auto builder = clauses_builder(node.directive);
-      if (!builder.is_ok()) return builder.status();
       std::string out = annotate("comm_p2p " + std::to_string(id) +
                                  " (reliable region)") + "\n";
-      out += region->region_var + ".p2p(" + std::move(builder).take();
+      out += region->region_var + ".p2p(" + clauses_builder(node.directive);
       if (has_overlap) {
         out += ",\n    [&]() { " + annotate("overlapped computation") + "\n" +
                overlap + "\n}";

@@ -48,8 +48,9 @@ struct Translation {
   Summary summary;
 };
 
-/// Translate a whole source buffer. Fails (with a line-annotated message) on
-/// malformed pragmas or directives without an attached statement/block.
+/// Translate a whole source buffer. Fails with a "line N: " message on the
+/// first scan issue (malformed pragma, structural problem, broken static
+/// clause rule) and on the translator's own rules for a comm_collective.
 Result<Translation> translate_source(std::string_view source,
                                      const Options& options = {});
 

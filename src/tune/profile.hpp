@@ -1,8 +1,9 @@
 // cid::tune profiles — the persistent record of what cid::obs measured at
 // each directive site, and the sole input to every tuning decision.
 //
-// A profile is a map from a *normalized* site key ("file.cpp:42", directory
-// stripped so profiles survive checkout moves) to one SiteProfile of
+// A profile is a map from a site key (the repo-relative "path:line" that
+// core interns; the build maps the source root away, so profiles survive
+// checkout moves) to one SiteProfile of
 // aggregated observations: message-size statistics, whether every rank's
 // buffers sat in the symmetric heap, measured pack-copy rates, and observed
 // reliability round-trip quantiles. Profiles are harvested from the
@@ -66,11 +67,11 @@ struct SiteProfile {
 };
 
 struct Profile {
-  std::map<std::string, SiteProfile> sites;  ///< normalized site -> profile
+  std::map<std::string, SiteProfile, std::less<>> sites;  ///< site -> profile
 
   bool empty() const noexcept { return sites.empty(); }
 
-  /// Lookup by any site spelling; the key is normalized first.
+  /// Lookup by the exact site key.
   const SiteProfile* find(std::string_view site) const;
 
   /// Deterministic JSON serialization (schema in docs/TUNING.md).
@@ -83,11 +84,6 @@ struct Profile {
   /// (replacing any previous data for sites the run touched).
   void harvest(const obs::MetricsRegistry& registry);
 };
-
-/// "dir/sub/file.cpp:42" -> "file.cpp:42". Site keys embed
-/// std::source_location file names, which are machine-specific absolute
-/// paths; profiles key on the basename so they travel between checkouts.
-std::string normalize_site(std::string_view site);
 
 /// Quantile estimate from a log2-bucketed histogram: the upper bound of the
 /// first bucket whose cumulative count reaches q * total. Coarse (a factor

@@ -115,7 +115,7 @@ class Tuner {
   const Profile& profile() const noexcept { return profile_; }
   void set_profile(Profile profile) { profile_ = std::move(profile); }
 
-  /// Profile row for a (raw, unnormalized) site key; null when unknown.
+  /// Profile row for a site key; null when unknown.
   const SiteProfile* site(std::string_view site_key) const {
     return profile_.find(site_key);
   }

@@ -430,42 +430,4 @@ TEST(Pragma, ClauseOffsetsPointAtClauseNames) {
   }
 }
 
-TEST(Pragma, ClausesFromParsedBindsBuffers) {
-  double b1[8] = {};
-  double b2[8] = {};
-  BufferTable table;
-  table.add("buf1", buf(b1));
-  table.add("buf2", buf(b2));
-
-  auto parsed = parse_pragma(
-      "#pragma comm_p2p sender((rank-1+nprocs)%nprocs) "
-      "receiver((rank+1)%nprocs) sbuf(buf1) rbuf(buf2)");
-  ASSERT_TRUE(parsed.is_ok());
-  auto clauses = clauses_from_parsed(parsed.value(), &table);
-  ASSERT_TRUE(clauses.is_ok()) << clauses.status().to_string();
-  EXPECT_TRUE(clauses.value().validate_for_p2p().is_ok());
-  EXPECT_EQ(clauses.value().sbuf_list()[0].data, b1);
-  EXPECT_EQ(clauses.value().rbuf_list()[0].name, "buf2");
-}
-
-TEST(Pragma, ClausesFromParsedUnboundBufferFails) {
-  BufferTable table;
-  auto parsed = parse_pragma("#pragma comm_p2p sbuf(mystery) rbuf(mystery)");
-  ASSERT_TRUE(parsed.is_ok());
-  EXPECT_FALSE(clauses_from_parsed(parsed.value(), &table).is_ok());
-  EXPECT_FALSE(clauses_from_parsed(parsed.value(), nullptr).is_ok());
-}
-
-TEST(Pragma, ClausesFromParsedTargetAndPlacement) {
-  auto parsed = parse_pragma(
-      "#pragma comm_parameters target(TARGET_COMM_SHMEM) "
-      "place_sync(BEGIN_NEXT_PARAM_REGION) max_comm_iter(8)");
-  ASSERT_TRUE(parsed.is_ok());
-  auto clauses = clauses_from_parsed(parsed.value(), nullptr);
-  ASSERT_TRUE(clauses.is_ok());
-  EXPECT_EQ(clauses.value().target_clause(), Target::Shmem);
-  EXPECT_EQ(clauses.value().place_sync_clause(),
-            SyncPlacement::BeginNextParamRegion);
-}
-
 }  // namespace

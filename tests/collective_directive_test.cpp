@@ -306,22 +306,6 @@ TEST(CollectivePragma, ParsesAndValidates) {
                    .is_ok());  // pattern only on comm_collective
 }
 
-TEST(CollectivePragma, ClausesFromParsed) {
-  BufferTable table;
-  double x[8] = {};
-  double y[8] = {};
-  table.add("src", buf(x));
-  table.add("dst", buf(y));
-  auto parsed = parse_pragma(
-      "#pragma comm_collective pattern(PATTERN_MANY_TO_ONE) root(2) "
-      "sbuf(src) rbuf(dst) count(2)");
-  ASSERT_TRUE(parsed.is_ok());
-  auto clauses = clauses_from_parsed(parsed.value(), &table);
-  ASSERT_TRUE(clauses.is_ok()) << clauses.status().to_string();
-  EXPECT_EQ(clauses.value().pattern_clause(), Pattern::ManyToOne);
-  EXPECT_TRUE(clauses.value().validate_for_collective().is_ok());
-}
-
 TEST(CollectiveTranslate, GeneratesBcast) {
   auto result = cid::translate::translate_source(R"(
 #pragma comm_collective pattern(PATTERN_ONE_TO_MANY) root(0) sbuf(src) rbuf(dst) count(16)

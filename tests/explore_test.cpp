@@ -18,6 +18,7 @@
 #include "explore/explore.hpp"
 #include "explore/fuzz.hpp"
 #include "explore/program.hpp"
+#include "translate/scan.hpp"
 #include "translate/translator.hpp"
 
 namespace {
@@ -265,41 +266,68 @@ TEST(FrontEnds, AgreeOnWhichDirectivesExist) {
       "sbuf(a) rbuf(b) count(4) receiver((rank+1)%nprocs) "
       "sender((rank+nprocs-1)%nprocs)";
   const std::string p2p = std::string("#pragma comm_p2p ") + kRing + "\n";
+  const std::string body = "{ work(); }\n";
   struct Row {
     const char* name;
     std::string source;
-    bool accepted;
-    int sites;    // comm_p2p and comm_collective directives
-    int regions;  // comm_parameters directives
+    const char* rejected_as;  // id of the first scan issue; null = accepted
+    int sites = 0;    // comm_p2p and comm_collective directives
+    int regions = 0;  // comm_parameters directives
   };
   const std::vector<Row> rows = {
       {"pragma in a block comment",
-       std::string(kDecls) + "/*\n" + p2p + "{ work(); }\n*/\n", true, 0, 0},
+       std::string(kDecls) + "/*\n" + p2p + body + "*/\n", nullptr, 0, 0},
       {"pragma in a raw string",
-       std::string(kDecls) + "const char* text = R\"(\n" + p2p +
-           "{ work(); }\n)\";\n",
-       true, 0, 0},
+       std::string(kDecls) + "const char* text = R\"(\n" + p2p + body +
+           ")\";\n",
+       nullptr, 0, 0},
       {"p2p nested in a p2p body",
-       std::string(kDecls) + p2p + "{\n" + p2p + "{ work(); }\n}\n", false, 0,
-       0},
+       std::string(kDecls) + p2p + "{\n" + p2p + body + "}\n", "CID-P002"},
       {"p2p nested in a collective body",
        std::string(kDecls) +
            "#pragma comm_collective pattern(PATTERN_ONE_TO_MANY) sbuf(a) "
            "rbuf(b) count(4)\n{\n" +
-           p2p + "{ work(); }\n}\n",
-       false, 0, 0},
+           p2p + body + "}\n",
+       "CID-P002"},
       {"region directly wrapping a directive",
-       std::string(kDecls) + "#pragma comm_parameters count(4)\n" + p2p +
-           "{ work(); }\n",
-       true, 1, 1},
+       std::string(kDecls) + "#pragma comm_parameters count(4)\n" + p2p + body,
+       nullptr, 1, 1},
       {"backslash-continued pragma",
        std::string(kDecls) +
            "#pragma comm_p2p sbuf(a) rbuf(b) count(4) \\\n"
-           "    receiver((rank+1)%nprocs) sender((rank+nprocs-1)%nprocs)\n"
-           "{ work(); }\n",
-       true, 1, 0},
+           "    receiver((rank+1)%nprocs) sender((rank+nprocs-1)%nprocs)\n" +
+           body,
+       nullptr, 1, 0},
       {"unbalanced braces", std::string(kDecls) + p2p + "{ if (a[0]) {\n",
-       false, 0, 0},
+       "CID-P002"},
+      {"missing sender and receiver",
+       std::string(kDecls) + "\n#pragma comm_p2p sbuf(a) rbuf(b) count(4)\n" +
+           body,
+       "CID-P005"},
+      {"sbuf and rbuf counts differ",
+       std::string(kDecls) +
+           "#pragma comm_p2p sbuf(a, b) rbuf(b) count(4) receiver(1) "
+           "sender(0)\n" +
+           body,
+       "CID-P006"},
+      {"bogus target",
+       std::string(kDecls) + "#pragma comm_p2p " + kRing +
+           " target(TARGET_COMM_BOGUS)\n" + body,
+       "CID-S032"},
+      {"bogus place_sync",
+       std::string(kDecls) + "#pragma comm_parameters place_sync(NOWHERE)\n{\n" +
+           p2p + body + "}\n",
+       "CID-S032"},
+      {"reliability with a SHMEM target",
+       std::string(kDecls) +
+           "#pragma comm_parameters reliability(100, 3) "
+           "target(TARGET_COMM_SHMEM)\n{\n" +
+           p2p + body + "}\n",
+       "CID-S035"},
+      {"comments on the pragma line",
+       std::string(kDecls) + "#pragma comm_p2p /* ring */ " + kRing +
+           "  // note\n" + body,
+       nullptr, 1, 0},
   };
   for (const Row& row : rows) {
     SCOPED_TRACE(row.name);
@@ -311,23 +339,27 @@ TEST(FrontEnds, AgreeOnWhichDirectivesExist) {
                                                      analyze_options);
     auto program = cid::explore::build_program(row.source);
 
-    EXPECT_EQ(translated.is_ok(), row.accepted);
-    EXPECT_EQ(report.errors() == 0, row.accepted) << report.errors();
-    EXPECT_EQ(program.is_ok(), row.accepted);
-    if (!row.accepted) {
+    const bool accepted = row.rejected_as == nullptr;
+    EXPECT_EQ(translated.is_ok(), accepted);
+    EXPECT_EQ(report.errors() == 0, accepted) << report.errors();
+    EXPECT_EQ(program.is_ok(), accepted);
+    if (!accepted) {
       // Rejected for the same reason, at the same place: the first scan
-      // issue, which analyze reports as a CID-P002 structural error.
-      const auto p002 = std::find_if(
+      // issue, which analyze reports under the same id at the same line.
+      const auto tree = cid::translate::scan_directives(row.source);
+      ASSERT_FALSE(tree.issues.empty());
+      const auto& first = tree.issues.front();
+      EXPECT_EQ(std::string(first.id), row.rejected_as);
+      const auto reported = std::find_if(
           report.diagnostics.begin(), report.diagnostics.end(),
-          [](const auto& d) { return d.id == "CID-P002"; });
-      EXPECT_NE(p002, report.diagnostics.end());
-      if (translated.is_ok() || program.is_ok() ||
-          p002 == report.diagnostics.end()) {
-        continue;
-      }
+          [&first](const auto& d) {
+            return d.id == first.id && d.line == first.line &&
+                   d.message == first.status.message();
+          });
+      EXPECT_NE(reported, report.diagnostics.end());
+      if (translated.is_ok() || program.is_ok()) continue;
       EXPECT_EQ(translated.status().message(), program.status().message());
-      EXPECT_EQ(translated.status().message(),
-                "line " + std::to_string(p002->line) + ": " + p002->message);
+      EXPECT_EQ(translated.status().message(), first.located().message());
       continue;
     }
     if (!translated.is_ok() || !program.is_ok()) continue;

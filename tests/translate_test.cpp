@@ -329,6 +329,35 @@ TEST(Translate, MissingRequiredClausesRejected) {
   EXPECT_TRUE(contains(result.status().message(), "sender"));
 }
 
+TEST(Translate, LoweringErrorsCarryTheirLine) {
+  // The two rules only the translator has are reported like scan issues.
+  auto in_reliable_region = translate_source(R"(
+#pragma comm_parameters reliability(100, 5)
+{
+#pragma comm_collective pattern(PATTERN_ONE_TO_MANY) root(0) sbuf(a) rbuf(b) count(4)
+{ }
+}
+)");
+  ASSERT_FALSE(in_reliable_region.is_ok());
+  EXPECT_EQ(in_reliable_region.status().code(),
+            cid::ErrorCode::InvalidClause);
+  EXPECT_EQ(in_reliable_region.status().message(),
+            "line 4: comm_collective inside a reliability region is not "
+            "supported (reliability covers point-to-point transfers)");
+
+  auto shmem_collective = translate_source(R"(
+int x;
+#pragma comm_collective pattern(PATTERN_ALL_TO_ALL) sbuf(a) rbuf(b) count(4) target(TARGET_COMM_SHMEM)
+{ }
+)");
+  ASSERT_FALSE(shmem_collective.is_ok());
+  EXPECT_EQ(shmem_collective.status().code(),
+            cid::ErrorCode::UnsupportedTarget);
+  EXPECT_EQ(shmem_collective.status().message(),
+            "line 3: translated comm_collective supports only "
+            "TARGET_COMM_MPI_2SIDE; use the embedded API for other targets");
+}
+
 TEST(Translate, SummaryCounts) {
   auto result = translate_source(kListing3);
   ASSERT_TRUE(result.is_ok());

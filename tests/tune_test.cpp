@@ -119,17 +119,15 @@ TEST(TuneProfile, ParseRejectsGarbage) {
   EXPECT_FALSE(tune::Profile::parse("{\"sites\": {}}").is_ok());  // no marker
 }
 
-TEST(TuneProfile, NormalizeSiteStripsDirectories) {
-  EXPECT_EQ(tune::normalize_site("/a/b/ring.cpp:42"), "ring.cpp:42");
-  EXPECT_EQ(tune::normalize_site("ring.cpp:42"), "ring.cpp:42");
-}
-
-TEST(TuneProfile, FindNormalizesTheLookupKey) {
+TEST(TuneProfile, FindMatchesTheSiteExactly) {
+  // Sites are repo-relative path:line (the build maps the source root away),
+  // so a profile travels between checkouts without rewriting its keys.
   tune::Profile profile;
-  profile.sites["ring.cpp:42"] = sample_site();
-  EXPECT_NE(profile.find("/home/user/src/ring.cpp:42"), nullptr);
-  EXPECT_NE(profile.find("ring.cpp:42"), nullptr);
-  EXPECT_EQ(profile.find("ring.cpp:43"), nullptr);
+  profile.sites["examples/ring.cpp:42"] = sample_site();
+  EXPECT_NE(profile.find("examples/ring.cpp:42"), nullptr);
+  EXPECT_EQ(profile.find("/home/user/src/examples/ring.cpp:42"), nullptr);
+  EXPECT_EQ(profile.find("ring.cpp:42"), nullptr);
+  EXPECT_EQ(profile.find("examples/ring.cpp:43"), nullptr);
 }
 
 // ---------------------------------------------------------------------------

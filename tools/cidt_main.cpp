@@ -334,8 +334,7 @@ int tune_main(int argc, char** argv) {
     if (!profile.is_ok()) return kExitIo;
     const auto model = cid::simnet::MachineModel::cray_xk7_gemini();
     const std::size_t agg_threshold = cid::tune::aggregation_threshold(model);
-    const std::string only = argc == 5 ? cid::tune::normalize_site(argv[4])
-                                       : std::string();
+    const std::string only = argc == 5 ? argv[4] : "";
 
     std::size_t shown = 0;
     for (const auto& [site, p] : profile.value().sites) {
