@@ -351,7 +351,7 @@ void comm_collective(const Clauses& clauses, std::source_location site_loc) {
     lower_shmem(state, site, comm, pattern, root, count, sbuf, rbuf);
   }
 
-  if (detail::trace_enabled()) {
+  if (obs::enabled()) {
     detail::record_trace_event({TraceEventKind::CollectiveDirective,
                                 ctx.rank(), trace_begin, ctx.clock().now(),
                                 site, 0, 0});

@@ -7,6 +7,7 @@
 
 #include "core/reliability.hpp"
 #include "core/trace.hpp"
+#include "obs/obs.hpp"
 #include "rt/agg.hpp"
 #include "shmem/shmem.hpp"
 
@@ -195,7 +196,7 @@ mpi::Datatype ExecState::datatype_for(const TypeLayout& layout) {
 }
 
 void ExecState::flush(PendingOps& ops) {
-  const bool trace = detail::trace_enabled() && !ops.empty();
+  const bool trace = obs::enabled() && !ops.empty();
   simnet::SimTime trace_begin = 0.0;
   if (trace) trace_begin = rt::current_ctx().clock().now();
   // Batched sends go out before anything waits: the waitall below may block

@@ -650,7 +650,7 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
   if (overlap != nullptr && *overlap) {
     const simnet::SimTime overlap_begin = ctx.clock().now();
     (*overlap)();
-    if (trace_enabled()) {
+    if (obs::enabled()) {
       record_trace_event({TraceEventKind::Overlap, ctx.rank(), overlap_begin,
                           ctx.clock().now(), site, 0, 0});
     }
@@ -660,7 +660,7 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
     state.flush(state.pending);
   }
 
-  if (trace_enabled()) {
+  if (obs::enabled()) {
     record_trace_event({TraceEventKind::P2PDirective, ctx.rank(), trace_begin,
                         ctx.clock().now(), site,
                         state.stats.total_bytes() - trace_bytes0,
@@ -740,7 +740,7 @@ void comm_parameters(const Clauses& clauses,
       break;
   }
 
-  if (detail::trace_enabled()) {
+  if (obs::enabled()) {
     detail::record_trace_event({TraceEventKind::RegionDirective,
                                 trace_ctx.rank(), trace_begin,
                                 trace_ctx.clock().now(), *impl.site, 0,

@@ -99,7 +99,7 @@ void run_reliable_epoch(ExecState& state, PendingOps& ops) {
   auto& ctx = rt::current_ctx();
   const auto& costs = ctx.model().mpi_two_sided;
   const int self = ctx.rank();
-  const bool trace = trace_enabled();
+  const bool trace = obs::enabled();
 
   std::vector<SendProgress> sends;
   sends.reserve(ops.reliable_sends.size());

@@ -1,29 +1,20 @@
-// Directive event tracing — a virtual-time timeline of what every rank's
-// directives did (posts, transfers, synchronization waits, collectives),
-// exportable as Chrome trace-event JSON (chrome://tracing, Perfetto).
+// Directive events — a virtual-time timeline of what every rank's directives
+// did (posts, transfers, synchronization waits, collectives, faults and
+// retransmissions), recorded into cid::obs.
 //
-// Because timing is virtual and deterministic, a trace is a reproducible
-// artifact: two runs of the same program produce byte-identical timelines.
-// Tracing is off by default; enabling it costs one vector push per event.
+// Each event becomes one obs span plus its derived per-site cid.* counters
+// and histograms. There is no second store: CID_TRACE_OUT, `cidt trace`,
+// tune and tests read the events back through obs (obs::spans(),
+// obs::write_chrome_json). Because timing is virtual and deterministic, two
+// runs of the same program record identical events.
 //
-// Usage:
-//   cid::core::TraceCollector trace;           // before rt::run
-//   cid::rt::run(n, [&](auto& ctx) {
-//     trace.attach(ctx);                       // once per rank
-//     ... directives ...
-//   });
-//   std::ofstream out("trace.json");
-//   trace.write_chrome_json(out);
+// Recording is off unless obs is enabled. Executors gate event construction
+// on obs::enabled(), one relaxed atomic load.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <vector>
+#include <string_view>
 
-#include "rt/runtime.hpp"
 #include "simnet/machine_model.hpp"
 
 namespace cid::core {
@@ -39,6 +30,7 @@ enum class TraceEventKind : std::uint8_t {
   Timeout,             ///< a virtual-time retransmission/receive timer fired
 };
 
+/// The obs span category of `kind` ("comm_p2p", "sync", "fault", ...).
 std::string_view trace_event_kind_name(TraceEventKind kind) noexcept;
 
 struct TraceEvent {
@@ -46,52 +38,15 @@ struct TraceEvent {
   int rank;
   simnet::SimTime begin;  ///< virtual seconds
   simnet::SimTime end;
-  std::string site;       ///< directive site (file:line)
+  std::string_view site;  ///< directive site (file:line) or event label
   std::uint64_t bytes;    ///< payload injected during the span (senders)
   std::uint64_t messages; ///< messages injected during the span
 };
 
-/// Collects events from every rank of one (or more) SPMD runs.
-class TraceCollector {
- public:
-  TraceCollector();
-  ~TraceCollector();
-  TraceCollector(const TraceCollector&) = delete;
-  TraceCollector& operator=(const TraceCollector&) = delete;
-
-  /// Route the calling rank's directive events into this collector. Call
-  /// once per rank, inside the SPMD function, before any directive.
-  void attach(rt::RankCtx& ctx);
-
-  /// All events recorded so far, ordered by (rank, begin).
-  std::vector<TraceEvent> events() const;
-
-  /// Chrome trace-event JSON (microsecond timestamps = virtual us).
-  void write_chrome_json(std::ostream& out) const;
-
-  /// Drop all recorded events.
-  void clear();
-
-  struct Sink;
-
- private:
-  std::shared_ptr<Sink> sink_;
-};
-
 namespace detail {
-/// Executor hook: the active sink of the calling rank (nullptr = tracing
-/// off). Set by TraceCollector::attach for the current thread.
-TraceCollector::Sink* active_trace_sink() noexcept;
-
-/// True when anything wants directive events: an attached TraceCollector on
-/// this thread, or the process-wide cid::obs recorder (CID_TRACE_OUT).
-/// Directive executors must gate event construction on this.
-bool trace_enabled() noexcept;
-
-/// Record an event into the attached collector (if any) and forward it to
-/// cid::obs (span + derived per-site counters/histograms) when obs recording
-/// is on.
-void record_trace_event(TraceEvent event);
+/// Record `event` into cid::obs: its span and the per-kind cid.* counters
+/// and histograms derived from it. A no-op while obs is disabled.
+void record_trace_event(const TraceEvent& event);
 }  // namespace detail
 
 }  // namespace cid::core

@@ -101,13 +101,19 @@ std::shared_ptr<RequestImpl> make_recv_impl(const Comm& comm, void* buf,
   return impl;
 }
 
+/// Pay the unpack cost a delivery left on `request`. Every retiring call
+/// does so before its advance_to, so the clock does not depend on which
+/// progress call happened to match the message.
+void charge_unpack(rt::RankCtx& ctx, RequestImpl& request) {
+  ctx.charge_compute(request.unpack_cost);
+  request.unpack_cost = 0.0;
+}
+
 /// Finish one completed request on the calling rank: advance the clock to
 /// the message availability time and deactivate.
 void finalize(rt::RankCtx& ctx, RequestImpl& request) {
+  charge_unpack(ctx, request);
   ctx.clock().advance_to(request.complete_at);
-  if (request.kind == ReqKind::Send || request.kind == ReqKind::Recv) {
-    // One-shot requests stay complete; persistent ones may be restarted.
-  }
   request.active = false;
 }
 
@@ -202,6 +208,7 @@ void waitall(std::span<Request> requests) {
     auto& impl = RequestAccess::impl(request);
     if (!impl) continue;  // MPI_REQUEST_NULL entries are permitted
     engine.wait_complete(ctx, impl);
+    charge_unpack(ctx, *impl);
     latest = std::max(latest, impl->complete_at);
     impl->active = false;
   }
@@ -263,6 +270,7 @@ int waitsome(std::span<Request> requests, std::vector<int>& ready) {
     for (std::size_t i = 0; i < requests.size(); ++i) {
       auto& impl = RequestAccess::impl(requests[i]);
       if (impl && impl->complete) {
+        charge_unpack(ctx, *impl);
         latest = std::max(latest, impl->complete_at);
         impl->active = false;
         ready.push_back(static_cast<int>(i));
@@ -324,6 +332,8 @@ void start(Request& request) {
              costs.persistent_send_overhead);
       break;
     case ReqKind::PersistentRecv: {
+      // A restart without a wait still owes the previous delivery's unpack.
+      charge_unpack(ctx, *impl);
       ctx.charge_compute(costs.persistent_recv_overhead);
       impl->complete = false;
       impl->active = true;

@@ -127,8 +127,8 @@ void Engine::deliver(rt::RankCtx& ctx, detail::RequestImpl& request,
               scatter_status.to_string());
   if (!request.dtype.is_contiguous()) {
     // Engine walks the derived layout on delivery instead of a flat copy.
-    ctx.charge_compute(static_cast<simnet::SimTime>(wire_bytes) /
-                       ctx.model().host.datatype_pack_bytes_per_second);
+    request.unpack_cost = static_cast<simnet::SimTime>(wire_bytes) /
+                          ctx.model().host.datatype_pack_bytes_per_second;
   }
 
   request.status.source = request.comm.comm_rank_of_world(envelope.src);

@@ -37,6 +37,10 @@ struct RequestImpl {
   bool active = false;    ///< persistent requests: started and not yet waited
   bool complete = false;
   simnet::SimTime complete_at = 0.0;
+  /// Host cost of unpacking a non-contiguous delivery, owed by the call
+  /// that retires the request (not by whichever progress call matched the
+  /// message, which depends on host ordering).
+  simnet::SimTime unpack_cost = 0.0;
   RecvStatus status;
 
   // Receive-side fields (Recv / PersistentRecv).

@@ -1,8 +1,10 @@
 #include "obs/trace_read.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace cid::obs {
@@ -58,8 +60,14 @@ class Parser {
     skip_ws();
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     const char c = text_[pos_];
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      // Bounded recursion: a hostile file must not overflow the stack.
+      if (depth_ == kMaxDepth) return fail("nesting too deep");
+      ++depth_;
+      auto nested = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return nested;
+    }
     if (c == '"') return parse_string();
     if (consume_word("true")) {
       Json v;
@@ -176,9 +184,26 @@ class Parser {
     return out;
   }
 
+  static constexpr int kMaxDepth = 64;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
+
+/// `value` as a T, clamped to T's range and NaN read as zero: a mangled
+/// number in a trace file must not make the conversion undefined.
+template <typename T>
+T clamped(double value) {
+  if (std::isnan(value)) return T{};
+  if (value <= static_cast<double>(std::numeric_limits<T>::lowest())) {
+    return std::numeric_limits<T>::lowest();
+  }
+  if (value >= static_cast<double>(std::numeric_limits<T>::max())) {
+    return std::numeric_limits<T>::max();
+  }
+  return static_cast<T>(value);
+}
 
 double number_or(const Json& event, std::string_view key, double fallback) {
   const Json* value = event.find(key);
@@ -196,16 +221,16 @@ void load_event(const Json& event, TraceFile& out) {
   const Json* ph = event.find("ph");
   if (ph == nullptr || ph->string != "X") return;  // metadata / counters
   TraceSpan span;
-  span.rank = static_cast<int>(number_or(event, "tid", 0.0));
+  span.rank = clamped<int>(number_or(event, "tid", 0.0));
   span.cat = string_or(event, "cat");
   span.name = string_or(event, "name");
   span.ts_us = number_or(event, "ts", 0.0);
   span.dur_us = number_or(event, "dur", 0.0);
   if (const Json* args = event.find("args");
       args != nullptr && args->kind == Json::Kind::Object) {
-    span.bytes = static_cast<std::uint64_t>(number_or(*args, "bytes", 0.0));
+    span.bytes = clamped<std::uint64_t>(number_or(*args, "bytes", 0.0));
     span.messages =
-        static_cast<std::uint64_t>(number_or(*args, "messages", 0.0));
+        clamped<std::uint64_t>(number_or(*args, "messages", 0.0));
   }
   out.spans.push_back(std::move(span));
 }
@@ -216,8 +241,8 @@ void load_metrics(const Json& metrics, TraceFile& out) {
     for (const Json& row : counters->array) {
       out.counters.push_back(
           {string_or(row, "metric"), string_or(row, "site"),
-           static_cast<int>(number_or(row, "rank", -1.0)),
-           static_cast<std::uint64_t>(number_or(row, "value", 0.0))});
+           clamped<int>(number_or(row, "rank", -1.0)),
+           clamped<std::uint64_t>(number_or(row, "value", 0.0))});
     }
   }
   if (const Json* histograms = metrics.find("histograms");
@@ -225,8 +250,8 @@ void load_metrics(const Json& metrics, TraceFile& out) {
     for (const Json& row : histograms->array) {
       out.histograms.push_back(
           {string_or(row, "metric"), string_or(row, "site"),
-           static_cast<int>(number_or(row, "rank", -1.0)),
-           static_cast<std::uint64_t>(number_or(row, "count", 0.0)),
+           clamped<int>(number_or(row, "rank", -1.0)),
+           clamped<std::uint64_t>(number_or(row, "count", 0.0)),
            number_or(row, "sum", 0.0), number_or(row, "min", 0.0),
            number_or(row, "max", 0.0)});
     }
@@ -244,26 +269,18 @@ Result<TraceFile> parse_trace(std::string_view text) {
   if (!document.is_ok()) return Result<TraceFile>(document.status());
   const Json& root = document.value();
 
-  TraceFile out;
-  const Json* events = nullptr;
-  if (root.kind == Json::Kind::Array) {
-    events = &root;
-  } else if (root.kind == Json::Kind::Object) {
-    events = root.find("traceEvents");
-    if (events == nullptr || events->kind != Json::Kind::Array) {
-      return Result<TraceFile>(
-          Status(ErrorCode::ParseError,
-                 "trace: object form lacks a \"traceEvents\" array"));
-    }
-    if (const Json* metrics = root.find("cidMetrics");
-        metrics != nullptr && metrics->kind == Json::Kind::Object) {
-      load_metrics(*metrics, out);
-    }
-  } else {
-    return Result<TraceFile>(Status(
-        ErrorCode::ParseError, "trace: document is neither array nor object"));
+  // Only an object has members, so a bare array fails here too.
+  const Json* events = root.find("traceEvents");
+  if (events == nullptr || events->kind != Json::Kind::Array) {
+    return Result<TraceFile>(
+        Status(ErrorCode::ParseError,
+               "trace: expected an object with a \"traceEvents\" array"));
   }
-
+  TraceFile out;
+  if (const Json* metrics = root.find("cidMetrics");
+      metrics != nullptr && metrics->kind == Json::Kind::Object) {
+    load_metrics(*metrics, out);
+  }
   for (const Json& event : events->array) {
     if (event.kind == Json::Kind::Object) load_event(event, out);
   }

@@ -1,7 +1,8 @@
 // Reading trace files back: a minimal JSON parser (sufficient for the
-// Chrome trace-event format) and the loader that accepts both shapes this
-// repository emits — the bare array written by core::TraceCollector and the
-// {"traceEvents": [...], "cidMetrics": {...}} object written by cid::obs.
+// Chrome trace-event format) and the loader for the one shape this
+// repository writes, the {"traceEvents": [...], "cidMetrics": {...}} object
+// of obs::write_chrome_json. Malformed input, a bare array included, comes
+// back as ErrorCode::ParseError.
 #pragma once
 
 #include <cstdint>
@@ -47,8 +48,8 @@ struct TraceSpan {
   std::uint64_t messages = 0;
 };
 
-/// Metric rows read back from the "cidMetrics" section (absent for
-/// bare-array traces).
+/// Metric rows read back from the "cidMetrics" section (empty when the
+/// section is absent).
 struct TraceCounter {
   std::string metric;
   std::string site;
@@ -71,7 +72,7 @@ struct TraceFile {
   std::vector<TraceHistogram> histograms;
 };
 
-/// Load a trace file from disk (array form or object form).
+/// Load a trace file from disk.
 Result<TraceFile> read_trace_file(const std::string& path);
 
 /// Parse an in-memory trace document (for tests).

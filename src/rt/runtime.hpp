@@ -42,9 +42,10 @@ class RankCtx {
 
   /// Rank-local storage: one slot per unique key address, created empty on
   /// first use. This is where facilities keep per-rank state that used to
-  /// live in a thread_local (executor state, trace sinks) — a thread_local
-  /// is wrong under the pooled scheduler, where many ranks share one worker
-  /// thread. Only the owning rank touches its slots, so no locking.
+  /// live in a thread_local (executor state, the miniMPI engine) — a
+  /// thread_local is wrong under the pooled scheduler, where many ranks
+  /// share one worker thread. Only the owning rank touches its slots, so no
+  /// locking.
   std::shared_ptr<void>& local_slot(const void* key) { return locals_[key]; }
 
  private:

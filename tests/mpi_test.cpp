@@ -279,6 +279,56 @@ TEST(MpiDatatype, StructSendRecvAcrossRanks) {
   });
 }
 
+// A non-contiguous receive owes its unpack to the call that retires it, not
+// to whichever progress call first finds the message: irecv and wait move
+// the clock by the same amounts whether the message was queued before the
+// receive was posted or arrived after it.
+TEST(MpiDatatype, UnpackChargeDoesNotDependOnArrivalOrder) {
+  struct Pair {
+    double a;
+    int gap;
+    double b;
+  };
+  MachineModel model = MachineModel::zero();
+  model.host.datatype_pack_bytes_per_second = 1.0e6;  // 16 bytes: 16 us
+  const auto clocks_of = [&](bool queued_first) {
+    std::array<double, 2> clocks{};
+    cid::rt::run(2, model, [&](RankCtx& ctx) {
+      auto world = mpi::Comm::world();
+      if (ctx.rank() == 0) {
+        const double payload[2] = {1.5, 2.5};
+        if (!queued_first) ctx.barrier();
+        mpi::send(world, payload, 2,
+                  mpi::Datatype::basic(mpi::BasicType::Double), 1, 0);
+        if (queued_first) ctx.barrier();
+        return;
+      }
+      auto dtype = mpi::Datatype::create_struct(
+                       {{offsetof(Pair, a), 1, mpi::BasicType::Double},
+                        {offsetof(Pair, b), 1, mpi::BasicType::Double}},
+                       sizeof(Pair))
+                       .take();
+      dtype.commit();
+      Pair pair{};
+      if (queued_first) ctx.barrier();
+      const double start = ctx.clock().now();
+      auto request = mpi::irecv(world, &pair, 1, dtype, 0, 0);
+      clocks[0] = ctx.clock().now() - start;
+      if (!queued_first) ctx.barrier();
+      mpi::wait(request);
+      clocks[1] = ctx.clock().now() - start;
+      EXPECT_DOUBLE_EQ(pair.a, 1.5);
+      EXPECT_DOUBLE_EQ(pair.b, 2.5);
+    });
+    return clocks;
+  };
+  const auto posted_first = clocks_of(false);
+  const auto queued_first = clocks_of(true);
+  EXPECT_EQ(posted_first[0], 0.0);
+  EXPECT_DOUBLE_EQ(posted_first[1], 16e-6);
+  EXPECT_EQ(queued_first, posted_first);
+}
+
 TEST(MpiDatatype, RejectsOverlappingFields) {
   auto result = mpi::Datatype::create_struct(
       {{0, 2, mpi::BasicType::Int}, {4, 1, mpi::BasicType::Int}}, 16);

@@ -4,11 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/core.hpp"
+#include "faults/fault_plan.hpp"
+#include "faults/injector.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace_read.hpp"
 #include "obs/trace_tool.hpp"
@@ -201,17 +207,118 @@ TEST_F(ObsTest, ExportRoundTripsThroughReader) {
   EXPECT_DOUBLE_EQ(trace.histograms[0].sum, 2.0);
 }
 
-TEST_F(ObsTest, ReaderAcceptsCollectorArrayForm) {
-  // core::TraceCollector writes a bare array; the reader must take both.
+TEST_F(ObsTest, ReaderRejectsBareArray) {
+  // Only the object form is ever written; a bare event array is an error.
   const char* text =
       R"([{"name":"comm_p2p a.cpp:1","cat":"comm_p2p","ph":"X","pid":0,)"
       R"("tid":2,"ts":1.5,"dur":2.5,"args":{"bytes":16,"messages":1}}])";
   const auto parsed = cid::obs::parse_trace(text);
+  ASSERT_FALSE(parsed.is_ok());
+  EXPECT_EQ(parsed.status().code(), cid::ErrorCode::ParseError);
+}
+
+TEST_F(ObsTest, ReaderClampsOutOfRangeNumbers) {
+  // A number outside the field's type saturates instead of being converted
+  // with undefined behaviour.
+  const char* text =
+      R"({"traceEvents":[{"name":"a.cpp:1","cat":"comm_p2p","ph":"X",)"
+      R"("tid":1e300,"ts":0,"dur":1,"args":{"bytes":-5,"messages":1e30}}]})";
+  const auto parsed = cid::obs::parse_trace(text);
   ASSERT_TRUE(parsed.is_ok());
   ASSERT_EQ(parsed.value().spans.size(), 1u);
-  EXPECT_EQ(parsed.value().spans[0].rank, 2);
-  EXPECT_EQ(parsed.value().spans[0].bytes, 16u);
-  EXPECT_TRUE(parsed.value().counters.empty());
+  const auto& span = parsed.value().spans[0];
+  EXPECT_EQ(span.rank, std::numeric_limits<int>::max());
+  EXPECT_EQ(span.bytes, 0u);
+  EXPECT_EQ(span.messages, std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST_F(ObsTest, ReaderRejectsDeepNesting) {
+  // Recursion is bounded: a deeply nested document is an error, not a stack
+  // overflow.
+  const std::string text = R"({"traceEvents":)" + std::string(100000, '[');
+  const auto parsed = cid::obs::parse_trace(text);
+  ASSERT_FALSE(parsed.is_ok());
+  EXPECT_EQ(parsed.status().code(), cid::ErrorCode::ParseError);
+}
+
+/// The export of a reliable ring exchange under a mixed fault plan: spans of
+/// every directive kind, fault and retransmit events, and their metrics.
+std::string faulty_run_export() {
+  cid::faults::FaultSpec spec;
+  spec.drop_rate = 0.08;
+  spec.duplicate_rate = 0.05;
+  spec.delay_rate = 0.1;
+  cid::obs::set_enabled(true);
+  cid::faults::run_with_faults(
+      4, MachineModel::cray_xk7_gemini(), cid::faults::FaultPlan(0x5eed, spec),
+      [](RankCtx& ctx) {
+        for (int round = 0; round < 2; ++round) {
+          double sbuf_ring[4] = {ctx.rank() * 1.0, 1.0, 2.0, 3.0};
+          double rbuf_ring[4] = {};
+          comm_parameters(Clauses()
+                              .sender("(rank-1+nprocs)%nprocs")
+                              .receiver("(rank+1)%nprocs")
+                              .count(4)
+                              .reliability(100, 8),
+                          [&](Region& region) {
+                            region.p2p(Clauses()
+                                           .sbuf(buf(sbuf_ring))
+                                           .rbuf(buf(rbuf_ring)));
+                          });
+        }
+      });
+  cid::obs::set_enabled(false);
+  std::ostringstream out;
+  cid::obs::write_chrome_json(out);
+  return out.str();
+}
+
+TEST_F(ObsTest, ReaderSurvivesMutatedTraces) {
+  // Seeded byte flips, truncations and insertions of a real export: every
+  // mutant must parse or come back as an error, never crash.
+  const std::string original = faulty_run_export();
+  const auto clean = cid::obs::parse_trace(original);
+  ASSERT_TRUE(clean.is_ok());
+  const auto& spans = clean.value().spans;
+  ASSERT_TRUE(std::any_of(spans.begin(), spans.end(), [](const auto& span) {
+    return span.cat == "fault";
+  }));
+
+  cid::Rng rng(0x7ace);
+  const auto below = [&](std::size_t bound) {
+    return static_cast<std::size_t>(rng.next_below(bound));
+  };
+  int rejected = 0;
+  for (int i = 0; i < 1000; ++i) {
+    std::string mutant = original;
+    switch (i % 3) {
+      case 0:  // flip one to four bytes
+        for (std::size_t n = 1 + below(4); n > 0; --n) {
+          mutant[below(mutant.size())] ^=
+              static_cast<char>(1 + below(255));
+        }
+        break;
+      case 1:  // truncate
+        mutant.resize(below(mutant.size()));
+        break;
+      case 2: {  // insert one to eight bytes, JSON punctuation or random
+        static constexpr std::string_view kBytes = "{}[]\":,-.e0123456789";
+        std::string insert;
+        for (std::size_t n = 1 + below(8); n > 0; --n) {
+          insert += below(2) == 0 ? kBytes[below(kBytes.size())]
+                                  : static_cast<char>(below(256));
+        }
+        mutant.insert(below(mutant.size() + 1), insert);
+        break;
+      }
+    }
+    const auto parsed = cid::obs::parse_trace(mutant);
+    if (!parsed.is_ok()) {
+      EXPECT_EQ(parsed.status().code(), cid::ErrorCode::ParseError);
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 0);
 }
 
 // --- summarize / diff --------------------------------------------------------

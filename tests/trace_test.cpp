@@ -1,40 +1,33 @@
-// Tests for the directive trace layer: event capture, virtual timestamps,
-// determinism, and Chrome JSON export.
+// Tests for directive events: what each directive records into cid::obs,
+// with which virtual timestamps, and that it is deterministic.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "core/core.hpp"
-#include "core/trace.hpp"
+#include "obs_trace.hpp"
 #include "rt/runtime.hpp"
 
 namespace {
 
 using namespace cid::core;
+using cid::obs::Span;
 using cid::rt::RankCtx;
 using cid::simnet::MachineModel;
 
-std::vector<TraceEvent> run_traced(int nranks, const MachineModel& model,
-                                   const cid::rt::RankFn& fn) {
-  TraceCollector trace;
-  cid::rt::run(nranks, model, [&](RankCtx& ctx) {
-    trace.attach(ctx);
-    fn(ctx);
-  });
-  return trace.events();
+/// Run `fn` with obs recording on and return its directive events.
+std::vector<Span> run_traced(int nranks, const MachineModel& model,
+                             const cid::rt::RankFn& fn) {
+  ObsRecordingScope recording;
+  cid::rt::run(nranks, model, fn);
+  return directive_spans();
 }
 
-int count_kind(const std::vector<TraceEvent>& events, TraceEventKind kind) {
-  int n = 0;
-  for (const auto& e : events) {
-    if (e.kind == kind) ++n;
-  }
-  return n;
+bool is_kind(const Span& span, TraceEventKind kind) {
+  return span.cat == trace_event_kind_name(kind);
 }
 
 TEST(Trace, DisabledByDefault) {
-  // Without attach(), directives record nothing and cost nothing extra.
-  TraceCollector trace;
+  // With obs off, directives record nothing.
+  cid::obs::clear();
   cid::rt::run(2, MachineModel::zero(), [](RankCtx&) {
     double a[2] = {}, b[2] = {};
     comm_p2p(Clauses()
@@ -45,7 +38,7 @@ TEST(Trace, DisabledByDefault) {
                  .sbuf(buf(a))
                  .rbuf(buf(b)));
   });
-  EXPECT_TRUE(trace.events().empty());
+  EXPECT_TRUE(cid::obs::spans().empty());
 }
 
 TEST(Trace, RecordsP2PSpansPerRank) {
@@ -60,8 +53,8 @@ TEST(Trace, RecordsP2PSpansPerRank) {
   EXPECT_EQ(count_kind(events, TraceEventKind::P2PDirective), 3);
   for (const auto& e : events) {
     EXPECT_GE(e.end, e.begin);
-    EXPECT_FALSE(e.site.empty());
-    if (e.kind == TraceEventKind::P2PDirective) {
+    EXPECT_FALSE(e.name.empty());
+    if (is_kind(e, TraceEventKind::P2PDirective)) {
       EXPECT_EQ(e.messages, 1u);  // one send injected per rank (ring)
       EXPECT_EQ(e.bytes, 4 * sizeof(double));
     }
@@ -87,10 +80,10 @@ TEST(Trace, RegionAndSyncSpans) {
   // One consolidated sync per rank, nested inside the region span.
   EXPECT_EQ(count_kind(events, TraceEventKind::Synchronization), 2);
   for (const auto& region_event : events) {
-    if (region_event.kind != TraceEventKind::RegionDirective) continue;
+    if (!is_kind(region_event, TraceEventKind::RegionDirective)) continue;
     for (const auto& inner : events) {
       if (inner.rank != region_event.rank ||
-          inner.kind == TraceEventKind::RegionDirective) {
+          is_kind(inner, TraceEventKind::RegionDirective)) {
         continue;
       }
       EXPECT_GE(inner.begin, region_event.begin);
@@ -113,7 +106,7 @@ TEST(Trace, OverlapSpanRecorded) {
   });
   ASSERT_EQ(count_kind(events, TraceEventKind::Overlap), 2);
   for (const auto& e : events) {
-    if (e.kind == TraceEventKind::Overlap) {
+    if (is_kind(e, TraceEventKind::Overlap)) {
       EXPECT_NEAR(e.end - e.begin, 25e-6, 1e-9);
     }
   }
@@ -144,51 +137,20 @@ TEST(Trace, DeterministicAcrossRuns) {
   };
   const auto first = run_once();
   const auto second = run_once();
-  ASSERT_EQ(first.size(), second.size());
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i].rank, second[i].rank);
-    EXPECT_DOUBLE_EQ(first[i].begin, second[i].begin);
-    EXPECT_DOUBLE_EQ(first[i].end, second[i].end);
-    EXPECT_EQ(first[i].bytes, second[i].bytes);
-  }
-}
-
-TEST(Trace, ChromeJsonIsWellFormedEnough) {
-  TraceCollector trace;
-  cid::rt::run(2, MachineModel::zero(), [&](RankCtx& ctx) {
-    trace.attach(ctx);
-    double a[2] = {}, b[2] = {};
-    comm_p2p(Clauses()
-                 .sender(0)
-                 .receiver(1)
-                 .sendwhen("rank==0")
-                 .receivewhen("rank==1")
-                 .sbuf(buf(a))
-                 .rbuf(buf(b)));
-  });
-  std::ostringstream out;
-  trace.write_chrome_json(out);
-  const std::string json = out.str();
-  EXPECT_EQ(json.front(), '[');
-  EXPECT_NE(json.find(R"("ph":"X")"), std::string::npos);
-  EXPECT_NE(json.find(R"("cat":"comm_p2p")"), std::string::npos);
-  EXPECT_NE(json.find(R"("tid":1)"), std::string::npos);
-  // Balanced braces (cheap structural check).
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
+  EXPECT_FALSE(first.empty());
+  EXPECT_EQ(first, second);
 }
 
 TEST(Trace, ClearDropsEvents) {
-  TraceCollector trace;
-  cid::rt::run(1, MachineModel::zero(), [&](RankCtx& ctx) {
-    trace.attach(ctx);
+  ObsRecordingScope recording;
+  cid::rt::run(1, MachineModel::zero(), [](RankCtx&) {
     double a[1] = {}, b[1] = {};
     comm_p2p(Clauses().sender(0).receiver(0).count(1).sbuf(buf(a)).rbuf(
         buf(b)));
   });
-  EXPECT_FALSE(trace.events().empty());
-  trace.clear();
-  EXPECT_TRUE(trace.events().empty());
+  EXPECT_FALSE(cid::obs::spans().empty());
+  cid::obs::clear();
+  EXPECT_TRUE(cid::obs::spans().empty());
 }
 
 }  // namespace

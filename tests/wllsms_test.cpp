@@ -1,10 +1,19 @@
 // Tests for the WL-LSMS mini-app: atom data fidelity, the original
 // (Listing 4/6) communication paths, the directive (Listing 5/7) paths on
 // every target, the Figure-1 topology, and the experiment drivers whose
-// ratios reproduce the paper's Figure 4.
+// ratios reproduce the paper's Figure 4, and a directive trace that does not
+// depend on the scheduler.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <iomanip>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "mpi/mpi.hpp"
+#include "obs_trace.hpp"
 #include "rt/runtime.hpp"
 #include "shmem/shmem.hpp"
 #include "wllsms/comm_directive.hpp"
@@ -460,6 +469,77 @@ TEST(WlRoundtrip, ScalesAcrossTopologies) {
     EXPECT_GT(t, 0.0) << nprocs;
     EXPECT_NE(energy, 0.0) << nprocs;
   }
+}
+
+// --- trace determinism -------------------------------------------------------
+
+/// Set (or, with nullptr, unset) an environment variable for one scope.
+class EnvScope {
+ public:
+  EnvScope(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) saved_ = old;
+    if (value != nullptr) {
+      ::setenv(name, value, 1);
+    } else {
+      ::unsetenv(name);
+    }
+  }
+  ~EnvScope() {
+    if (saved_.empty()) {
+      ::unsetenv(name_);
+    } else {
+      ::setenv(name_, saved_.c_str(), 1);
+    }
+  }
+  EnvScope(const EnvScope&) = delete;
+  EnvScope& operator=(const EnvScope&) = delete;
+
+ private:
+  const char* name_;
+  std::string saved_;
+};
+
+/// Every span of the Figure-3 phase on the directive MPI path, whose
+/// scalaratomdata transfer is a non-contiguous receive, run under the given
+/// CID_SIM_SCHED and CID_SIM_WORKERS.
+std::vector<cid::obs::Span> single_atom_spans(const char* sched,
+                                              const char* workers) {
+  const EnvScope sched_env("CID_SIM_SCHED", sched);
+  const EnvScope workers_env("CID_SIM_WORKERS", workers);
+  ExperimentConfig config;
+  config.nprocs = 17;
+  config.num_lsms = 4;
+  ObsRecordingScope recording;
+  run_single_atom_distribution(config, Variant::DirectiveMpi);
+  return cid::obs::spans();
+}
+
+/// The first span where `a` and `b` differ, as text (empty when equal).
+std::string first_difference(const std::vector<cid::obs::Span>& a,
+                             const std::vector<cid::obs::Span>& b) {
+  const auto text = [](const cid::obs::Span& span) {
+    std::ostringstream out;
+    out << std::setprecision(17) << "rank " << span.rank << ' ' << span.cat
+        << ' ' << span.name << " [" << span.begin << ", " << span.end << ']';
+    return out.str();
+  };
+  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+    if (a[i] != b[i]) {
+      return "span " + std::to_string(i) + ": " + text(a[i]) + " vs " +
+             text(b[i]);
+    }
+  }
+  return a.size() == b.size() ? std::string() : "span counts differ";
+}
+
+TEST(TraceDeterminism, SingleAtomSpansDoNotDependOnTheScheduler) {
+  const auto reference = single_atom_spans("pool", "1");
+  ASSERT_GT(count_kind(reference, cid::core::TraceEventKind::P2PDirective),
+            0);
+  const auto pool4 = single_atom_spans("pool", "4");
+  EXPECT_EQ(first_difference(reference, pool4), "");
+  const auto threads = single_atom_spans("threads", nullptr);
+  EXPECT_EQ(first_difference(reference, threads), "");
 }
 
 }  // namespace
