@@ -61,6 +61,11 @@ int main(int argc, char** argv) {
               "%d^3, %d iterations\n",
               nranks, dims.px, dims.py, dims.pz, kSide, iters);
 
+  // Each rank writes its own brick sum; main prints them after the run, in
+  // rank order, so the output does not depend on how the host schedules
+  // the ranks.
+  std::vector<double> sums(static_cast<std::size_t>(nranks), 0.0);
+
   auto result = cid::rt::run(nranks, [&](cid::rt::RankCtx& ctx) {
     const int me = ctx.rank();
     const int px = dims.px, py = dims.py, pz = dims.pz;
@@ -163,11 +168,16 @@ int main(int argc, char** argv) {
 
     double sum = 0.0;
     for (double v : brick) sum += v;
-    if (me < 2 || me == ctx.nranks() - 1) {
-      std::printf("rank %5d (%d,%d,%d): brick sum %.3f\n", me, x, y, z, sum);
-    }
+    sums[static_cast<std::size_t>(me)] = sum;
   });
 
+  for (int rank = 0; rank < nranks; ++rank) {
+    if (rank >= 2 && rank != nranks - 1) continue;
+    std::printf("rank %5d (%d,%d,%d): brick sum %.3f\n", rank,
+                rank % dims.px, (rank / dims.px) % dims.py,
+                rank / (dims.px * dims.py),
+                sums[static_cast<std::size_t>(rank)]);
+  }
   std::printf("done; virtual makespan = %.2f us\n", result.makespan() * 1e6);
   return 0;
 }

@@ -3,11 +3,12 @@
 // A buffer carries everything the directive lowering needs: the address, the
 // element size and type (basic or reflected composite), whether its extent is
 // statically known (arrays, vectors, matrices — used for the paper's count
-// inference), and a display name for diagnostics and codegen.
+// inference), and a display name for diagnostics and codegen. The name is
+// not copied: it is a string literal at every call site (the translator
+// emits one per buffer), so describing a buffer never allocates.
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "common/matrix.hpp"
@@ -28,7 +29,7 @@ struct BufferRef {
   /// Reflected layout for composite element types; nullptr for basic types.
   const TypeLayout* layout = nullptr;
   mpi::BasicType basic = mpi::BasicType::Byte;
-  std::string name;
+  const char* name = "";
 
   bool is_composite() const noexcept { return layout != nullptr; }
 
@@ -38,6 +39,38 @@ struct BufferRef {
   }
 };
 
+/// The buffers of one sbuf or rbuf clause, in order and contiguous. A clause
+/// names one buffer almost always, so a single buffer is held inline and
+/// only a list of two or more allocates.
+class BufferList {
+ public:
+  void push_back(const BufferRef& buffer) {
+    if (size_ == 0) {
+      one_ = buffer;
+    } else {
+      if (size_ == 1) many_.push_back(one_);
+      many_.push_back(buffer);
+    }
+    ++size_;
+  }
+
+  std::size_t size() const noexcept { return size_; }
+  bool empty() const noexcept { return size_ == 0; }
+  const BufferRef* begin() const noexcept {
+    return size_ > 1 ? many_.data() : &one_;
+  }
+  const BufferRef* end() const noexcept { return begin() + size_; }
+  const BufferRef& operator[](std::size_t i) const noexcept {
+    return begin()[i];
+  }
+  const BufferRef& front() const noexcept { return *begin(); }
+
+ private:
+  BufferRef one_;                ///< the buffer of a one-buffer list
+  std::vector<BufferRef> many_;  ///< every buffer, once there are two
+  std::size_t size_ = 0;
+};
+
 namespace detail {
 
 template <typename T>
@@ -45,27 +78,27 @@ concept BasicElement = std::is_arithmetic_v<T>;
 
 template <typename T>
 BufferRef make_basic(void* data, std::size_t extent, bool has_extent,
-                     std::string name) {
+                     const char* name) {
   BufferRef b;
   b.data = data;
   b.element_size = sizeof(T);
   b.extent_count = extent;
   b.has_extent = has_extent;
   b.basic = mpi::basic_type_of<T>();
-  b.name = std::move(name);
+  b.name = name;
   return b;
 }
 
 template <typename T>
 BufferRef make_composite(void* data, std::size_t extent, bool has_extent,
-                         std::string name) {
+                         const char* name) {
   BufferRef b;
   b.data = data;
   b.element_size = sizeof(T);
   b.extent_count = extent;
   b.has_extent = has_extent;
   b.layout = &TypeLayoutOf<T>::get();
-  b.name = std::move(name);
+  b.name = name;
   return b;
 }
 
@@ -79,25 +112,24 @@ BufferRef make_composite(void* data, std::size_t extent, bool has_extent,
 ///  - reflected struct    one composite element (CID_REFLECT_STRUCT required)
 ///  - reflected struct*   composite pointer, extent unknown
 template <typename A>
-BufferRef buf(A&& object, std::string name = {}) {
+BufferRef buf(A&& object, const char* name = "") {
   using U = std::remove_reference_t<A>;
   if constexpr (std::is_array_v<U>) {
     using E = std::remove_extent_t<U>;
     static_assert(std::is_arithmetic_v<E>,
                   "array buffers must have arithmetic elements");
-    return detail::make_basic<E>(object, std::extent_v<U>, true,
-                                 std::move(name));
+    return detail::make_basic<E>(object, std::extent_v<U>, true, name);
   } else if constexpr (std::is_pointer_v<U>) {
     using E = std::remove_pointer_t<U>;
     if constexpr (std::is_arithmetic_v<E>) {
-      return detail::make_basic<E>(object, 0, false, std::move(name));
+      return detail::make_basic<E>(object, 0, false, name);
     } else {
       static_assert(Reflected<E>,
                     "composite pointer buffers require CID_REFLECT_STRUCT");
-      return detail::make_composite<E>(object, 0, false, std::move(name));
+      return detail::make_composite<E>(object, 0, false, name);
     }
   } else if constexpr (Reflected<U>) {
-    return detail::make_composite<U>(&object, 1, true, std::move(name));
+    return detail::make_composite<U>(&object, 1, true, name);
   } else {
     static_assert(sizeof(U) == 0,
                   "unsupported buffer argument; see buf() documentation");
@@ -107,24 +139,22 @@ BufferRef buf(A&& object, std::string name = {}) {
 /// std::vector of basic elements; extent known.
 template <typename T>
   requires std::is_arithmetic_v<T>
-BufferRef buf(std::vector<T>& vector, std::string name = {}) {
-  return detail::make_basic<T>(vector.data(), vector.size(), true,
-                               std::move(name));
+BufferRef buf(std::vector<T>& vector, const char* name = "") {
+  return detail::make_basic<T>(vector.data(), vector.size(), true, name);
 }
 
 /// cid::Matrix payload (whole storage, column-major contiguous).
 template <typename T>
   requires std::is_arithmetic_v<T>
-BufferRef buf(Matrix<T>& matrix, std::string name = {}) {
-  return detail::make_basic<T>(matrix.data(), matrix.size(), true,
-                               std::move(name));
+BufferRef buf(Matrix<T>& matrix, const char* name = "") {
+  return detail::make_basic<T>(matrix.data(), matrix.size(), true, name);
 }
 
 /// Basic pointer with an explicitly-known extent (e.g. a slice).
 template <typename T>
   requires std::is_arithmetic_v<T>
-BufferRef buf_n(T* pointer, std::size_t count, std::string name = {}) {
-  return detail::make_basic<T>(pointer, count, true, std::move(name));
+BufferRef buf_n(T* pointer, std::size_t count, const char* name = "") {
+  return detail::make_basic<T>(pointer, count, true, name);
 }
 
 }  // namespace cid::core

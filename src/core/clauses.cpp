@@ -65,12 +65,11 @@ void ClauseExpr::assign_text(std::string_view text) {
       cache;
   const auto take = [this](const Result<Expr>& parsed) {
     if (parsed.is_ok()) {
-      expr_ = parsed.value();
+      value_ = parsed.value();
     } else {
-      parse_error_ = parsed.status();
+      value_ = parsed.status();  // present; eval() reports the error
     }
   };
-  kind_ = Kind::Parsed;  // a broken text is present; eval() reports the error
   auto it = cache.find(text);
   if (it == cache.end()) {
     if (cache.size() >= kParseCacheEntries) return take(Expr::parse(text));
@@ -80,35 +79,23 @@ void ClauseExpr::assign_text(std::string_view text) {
 }
 
 Result<ExprValue> ClauseExpr::eval(const Env& env) const {
-  switch (kind_) {
-    case Kind::Absent:
-      return Status(ErrorCode::InvalidClause, "evaluating an absent clause");
-    case Kind::Value:
-      return value_;
-    case Kind::Parsed:
-      if (!parse_error_.is_ok()) return parse_error_;
-      return expr_.eval(env);
-    case Kind::Callable:
-      return fn_();
-  }
-  return Status(ErrorCode::RuntimeFault, "bad ClauseExpr kind");
+  if (const auto* fn = std::get_if<Callable>(&value_)) return (*fn)();
+  if (const auto* expr = std::get_if<Expr>(&value_)) return expr->eval(env);
+  if (const auto* value = std::get_if<ExprValue>(&value_)) return *value;
+  if (const auto* error = std::get_if<Status>(&value_)) return *error;
+  return Status(ErrorCode::InvalidClause, "evaluating an absent clause");
 }
 
 std::string ClauseExpr::describe() const {
-  switch (kind_) {
-    case Kind::Absent:
-      return "<absent>";
-    case Kind::Value:
-      return std::to_string(value_);
-    case Kind::Parsed:
-      if (!parse_error_.is_ok()) {
-        return "<parse error: " + parse_error_.message() + ">";
-      }
-      return expr_.to_string();
-    case Kind::Callable:
-      return "<callable>";
+  if (std::holds_alternative<Callable>(value_)) return "<callable>";
+  if (const auto* expr = std::get_if<Expr>(&value_)) return expr->to_string();
+  if (const auto* value = std::get_if<ExprValue>(&value_)) {
+    return std::to_string(*value);
   }
-  return "<bad>";
+  if (const auto* error = std::get_if<Status>(&value_)) {
+    return "<parse error: " + error->message() + ">";
+  }
+  return "<absent>";
 }
 
 Clauses Clauses::merged(const Clauses& region, const Clauses& p2p) {
@@ -161,8 +148,8 @@ Status Clauses::validate_for_p2p() const {
 Status ClauseView::validate_for_p2p() const {
   CID_RETURN_IF_ERROR(
       check_clause_rules(DirectiveKind::CommP2P, facts(), RuleStage::Resolved));
-  const std::vector<BufferRef>& sbufs = sbuf_list();
-  const std::vector<BufferRef>& rbufs = rbuf_list();
+  const BufferList& sbufs = sbuf_list();
+  const BufferList& rbufs = rbuf_list();
   for (std::size_t i = 0; i < sbufs.size(); ++i) {
     const BufferRef& s = sbufs[i];
     const BufferRef& r = rbufs[i];

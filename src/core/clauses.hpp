@@ -8,6 +8,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/buffer.hpp"
@@ -196,22 +197,23 @@ class ClauseExpr {
   static constexpr std::size_t kParseCacheEntries = 4096;
 
   ClauseExpr() = default;
-  ClauseExpr(ExprValue value) : value_(value), kind_(Kind::Value) {}  // NOLINT
-  ClauseExpr(int value)                                                // NOLINT
-      : value_(value), kind_(Kind::Value) {}
-  ClauseExpr(Expr expr) : expr_(std::move(expr)), kind_(Kind::Parsed) {}  // NOLINT
+  ClauseExpr(ExprValue value)  // NOLINT
+      : value_(std::in_place_type<ExprValue>, value) {}
+  ClauseExpr(int value)  // NOLINT
+      : value_(std::in_place_type<ExprValue>, value) {}
+  ClauseExpr(Expr expr) : value_(std::move(expr)) {}  // NOLINT
   template <typename F>
     requires std::is_invocable_r_v<ExprValue, F> &&
              (!std::is_arithmetic_v<std::decay_t<F>>)
   ClauseExpr(F fn)  // NOLINT(google-explicit-constructor)
-      : fn_(std::move(fn)), kind_(Kind::Callable) {}
+      : value_(std::in_place_type<Callable>, std::move(fn)) {}
   /// Parses eagerly (once per distinct text per thread; see assign_text);
   /// a parse failure is reported at evaluation time so the builder API stays
   /// chainable.
   ClauseExpr(const char* text) { assign_text(text); }  // NOLINT
   ClauseExpr(const std::string& text) { assign_text(text); }  // NOLINT
 
-  bool present() const noexcept { return kind_ != Kind::Absent; }
+  bool present() const noexcept { return value_.index() != 0; }
 
   Result<ExprValue> eval(const Env& env) const;
 
@@ -219,61 +221,82 @@ class ClauseExpr {
   std::string describe() const;
 
  private:
-  enum class Kind { Absent, Value, Parsed, Callable };
+  using Callable = std::function<ExprValue()>;
 
   /// Takes the parse of `text` (tree or exact parse error) from a bounded
   /// per-thread cache, so a directive rebuilt every iteration parses its
   /// clause texts only once.
   void assign_text(std::string_view text);
 
-  ExprValue value_ = 0;
-  Expr expr_{};
-  std::function<ExprValue()> fn_;
-  Status parse_error_;
-  Kind kind_ = Kind::Absent;
+  /// Absent, a constant, a parsed text, a callable, or the parse error of a
+  /// text (present: eval() reports it). One alternative at a time keeps a
+  /// clause set small, and so cheap to build and destroy per directive.
+  std::variant<std::monostate, ExprValue, Expr, Callable, Status> value_;
 };
 
 /// A full clause set. Used for both directives; validation differs.
 class Clauses {
  public:
   // --- builder ---------------------------------------------------------
-  Clauses& sender(ClauseExpr expr) { return set(sender_, std::move(expr), ClauseName::Sender); }
-  Clauses& receiver(ClauseExpr expr) { return set(receiver_, std::move(expr), ClauseName::Receiver); }
-  Clauses& sendwhen(ClauseExpr expr) { return set(sendwhen_, std::move(expr), ClauseName::Sendwhen); }
-  Clauses& receivewhen(ClauseExpr expr) { return set(receivewhen_, std::move(expr), ClauseName::Receivewhen); }
-  Clauses& count(ClauseExpr expr) { return set(count_, std::move(expr), ClauseName::Count); }
-  Clauses& max_comm_iter(ClauseExpr expr) { return set(max_comm_iter_, std::move(expr), ClauseName::MaxCommIter); }
+  // Each builder has an lvalue form that returns the set and an rvalue form
+  // that returns it as an rvalue, so `Clauses c = Clauses().sender(..)...;`
+  // moves the built set into `c` instead of copying every clause.
+  Clauses& sender(ClauseExpr expr) & { return set(sender_, std::move(expr), ClauseName::Sender); }
+  Clauses&& sender(ClauseExpr expr) && { return std::move(sender(std::move(expr))); }
+  Clauses& receiver(ClauseExpr expr) & { return set(receiver_, std::move(expr), ClauseName::Receiver); }
+  Clauses&& receiver(ClauseExpr expr) && { return std::move(receiver(std::move(expr))); }
+  Clauses& sendwhen(ClauseExpr expr) & { return set(sendwhen_, std::move(expr), ClauseName::Sendwhen); }
+  Clauses&& sendwhen(ClauseExpr expr) && { return std::move(sendwhen(std::move(expr))); }
+  Clauses& receivewhen(ClauseExpr expr) & { return set(receivewhen_, std::move(expr), ClauseName::Receivewhen); }
+  Clauses&& receivewhen(ClauseExpr expr) && { return std::move(receivewhen(std::move(expr))); }
+  Clauses& count(ClauseExpr expr) & { return set(count_, std::move(expr), ClauseName::Count); }
+  Clauses&& count(ClauseExpr expr) && { return std::move(count(std::move(expr))); }
+  Clauses& max_comm_iter(ClauseExpr expr) & { return set(max_comm_iter_, std::move(expr), ClauseName::MaxCommIter); }
+  Clauses&& max_comm_iter(ClauseExpr expr) && { return std::move(max_comm_iter(std::move(expr))); }
   /// Reliable delivery for the region's MPI-two-sided transfers:
   /// ack/timeout/retransmit with exponential backoff in virtual time.
   /// `timeout_us` is the base retransmission timeout in virtual
   /// microseconds; `max_retries` bounds retransmissions per transfer, after
   /// which the pair is reported undelivered (see core::delivery_report()).
-  Clauses& reliability(ClauseExpr timeout_us, ClauseExpr max_retries) {
+  Clauses& reliability(ClauseExpr timeout_us, ClauseExpr max_retries) & {
     reliability_max_retries_ = std::move(max_retries);
     return set(reliability_timeout_us_, std::move(timeout_us), ClauseName::Reliability);
   }
-  Clauses& target(Target target) { target_ = target; return mark(ClauseName::Target, true); }
-  Clauses& place_sync(SyncPlacement placement) { place_sync_ = placement; return mark(ClauseName::PlaceSync, true); }
+  Clauses&& reliability(ClauseExpr timeout_us, ClauseExpr max_retries) && {
+    return std::move(reliability(std::move(timeout_us), std::move(max_retries)));
+  }
+  Clauses& target(Target target) & { target_ = target; return mark(ClauseName::Target, true); }
+  Clauses&& target(Target target) && { return std::move(this->target(target)); }
+  Clauses& place_sync(SyncPlacement placement) & { place_sync_ = placement; return mark(ClauseName::PlaceSync, true); }
+  Clauses&& place_sync(SyncPlacement placement) && { return std::move(place_sync(placement)); }
   /// Collective-directive clauses (comm_collective only).
-  Clauses& pattern(Pattern pattern) { pattern_ = pattern; return mark(ClauseName::Pattern, true); }
-  Clauses& root(ClauseExpr expr) { return set(root_, std::move(expr), ClauseName::Root); }
+  Clauses& pattern(Pattern pattern) & { pattern_ = pattern; return mark(ClauseName::Pattern, true); }
+  Clauses&& pattern(Pattern pattern) && { return std::move(this->pattern(pattern)); }
+  Clauses& root(ClauseExpr expr) & { return set(root_, std::move(expr), ClauseName::Root); }
+  Clauses&& root(ClauseExpr expr) && { return std::move(root(std::move(expr))); }
   /// Group color: ranks with equal values form one group (< 0 = excluded).
-  Clauses& group(ClauseExpr expr) { return set(group_, std::move(expr), ClauseName::Group); }
-  Clauses& sbuf(BufferRef buffer) { sbuf_.push_back(std::move(buffer)); return *this; }
-  Clauses& sbuf(std::initializer_list<BufferRef> buffers) {
-    sbuf_.insert(sbuf_.end(), buffers.begin(), buffers.end());
+  Clauses& group(ClauseExpr expr) & { return set(group_, std::move(expr), ClauseName::Group); }
+  Clauses&& group(ClauseExpr expr) && { return std::move(group(std::move(expr))); }
+  Clauses& sbuf(BufferRef buffer) & { sbuf_.push_back(buffer); return *this; }
+  Clauses&& sbuf(BufferRef buffer) && { return std::move(sbuf(buffer)); }
+  Clauses& sbuf(std::initializer_list<BufferRef> buffers) & {
+    for (const BufferRef& buffer : buffers) sbuf_.push_back(buffer);
     return *this;
   }
-  Clauses& rbuf(BufferRef buffer) { rbuf_.push_back(std::move(buffer)); return *this; }
-  Clauses& rbuf(std::initializer_list<BufferRef> buffers) {
-    rbuf_.insert(rbuf_.end(), buffers.begin(), buffers.end());
+  Clauses&& sbuf(std::initializer_list<BufferRef> buffers) && { return std::move(sbuf(buffers)); }
+  Clauses& rbuf(BufferRef buffer) & { rbuf_.push_back(buffer); return *this; }
+  Clauses&& rbuf(BufferRef buffer) && { return std::move(rbuf(buffer)); }
+  Clauses& rbuf(std::initializer_list<BufferRef> buffers) & {
+    for (const BufferRef& buffer : buffers) rbuf_.push_back(buffer);
     return *this;
   }
+  Clauses&& rbuf(std::initializer_list<BufferRef> buffers) && { return std::move(rbuf(buffers)); }
   /// Bind a variable for string clause expressions (snapshot by value).
-  Clauses& let(std::string name, ExprValue value) {
+  Clauses& let(std::string name, ExprValue value) & {
     bindings_.emplace_back(std::move(name), value);
     return *this;
   }
+  Clauses&& let(std::string name, ExprValue value) && { return std::move(let(std::move(name), value)); }
 
   // --- accessors --------------------------------------------------------
   const ClauseExpr& sender_clause() const noexcept { return sender_; }
@@ -290,8 +313,8 @@ class Clauses {
   const std::optional<Pattern>& pattern_clause() const noexcept { return pattern_; }
   const ClauseExpr& root_clause() const noexcept { return root_; }
   const ClauseExpr& group_clause() const noexcept { return group_; }
-  const std::vector<BufferRef>& sbuf_list() const noexcept { return sbuf_; }
-  const std::vector<BufferRef>& rbuf_list() const noexcept { return rbuf_; }
+  const BufferList& sbuf_list() const noexcept { return sbuf_; }
+  const BufferList& rbuf_list() const noexcept { return rbuf_; }
   const std::vector<std::pair<std::string, ExprValue>>& bindings() const noexcept {
     return bindings_;
   }
@@ -358,8 +381,8 @@ class Clauses {
   std::optional<Pattern> pattern_;
   ClauseExpr root_;
   ClauseExpr group_;
-  std::vector<BufferRef> sbuf_;
-  std::vector<BufferRef> rbuf_;
+  BufferList sbuf_;
+  BufferList rbuf_;
   std::vector<std::pair<std::string, ExprValue>> bindings_;
 };
 
@@ -406,11 +429,11 @@ class ClauseView {
     return site_->target_clause().has_value() ? site_->target_clause()
                                               : region_->target_clause();
   }
-  const std::vector<BufferRef>& sbuf_list() const noexcept {
+  const BufferList& sbuf_list() const noexcept {
     return site_->sbuf_list().empty() ? region_->sbuf_list()
                                       : site_->sbuf_list();
   }
-  const std::vector<BufferRef>& rbuf_list() const noexcept {
+  const BufferList& rbuf_list() const noexcept {
     return site_->rbuf_list().empty() ? region_->rbuf_list()
                                       : site_->rbuf_list();
   }
@@ -418,14 +441,11 @@ class ClauseView {
   /// Binds every let() into `env`, the region's first, so a site binding
   /// shadows a region binding of the same name.
   void bind_lets(Env& env) const;
-  std::size_t let_count() const noexcept {
-    return region_->bindings().size() + site_->bindings().size();
-  }
 
   /// The clauses present after inheritance, for the static rules.
   ClauseFacts facts() const noexcept {
-    const std::vector<BufferRef>& sbufs = sbuf_list();
-    const std::vector<BufferRef>& rbufs = rbuf_list();
+    const BufferList& sbufs = sbuf_list();
+    const BufferList& rbufs = rbuf_list();
     ClauseFacts facts;
     facts.present = site_->present_ | region_->present_;
     if (!sbufs.empty()) facts.add(ClauseName::Sbuf);

@@ -43,7 +43,6 @@ const SiteKey& site_key(const std::source_location& location) {
 
 Env make_env(const ClauseView& clauses) {
   Env env;
-  env.reserve(2 + clauses.let_count());
   auto& ctx = rt::current_ctx();
   env.bind("rank", ctx.rank());
   env.bind("nprocs", ctx.nranks());

@@ -9,6 +9,7 @@
 // translator.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -23,32 +24,57 @@ using ExprValue = std::int64_t;
 
 /// Variable bindings for evaluation. `rank` and `nprocs` are bound by the
 /// executor; user variables come from Clauses::let(). A directive binds a
-/// handful of names, so a flat list searched linearly beats a tree.
+/// handful of names, so they sit inline in a flat list searched linearly;
+/// only an environment of more than kInline names allocates. Names are not
+/// copied: each must outlive the Env (string literals and the names held by
+/// the Clauses being executed do).
 class Env {
  public:
+  static constexpr std::size_t kInline = 8;
+
   /// Binds `name`, overwriting an existing binding of the same name.
   void bind(std::string_view name, ExprValue value) {
-    for (auto& [bound, old] : values_) {
-      if (bound == name) {
-        old = value;
-        return;
-      }
+    const std::size_t i = index_of(name);
+    if (i < size()) {
+      at(i).value = value;
+    } else if (size_ < kInline) {
+      inline_[size_++] = {name, value};
+    } else {
+      spill_.push_back({name, value});
     }
-    values_.emplace_back(std::string(name), value);
   }
   /// Looks up a variable; error Status when unbound.
   Result<ExprValue> lookup(std::string_view name) const {
-    for (const auto& [bound, value] : values_) {
-      if (bound == name) return value;
-    }
+    const std::size_t i = index_of(name);
+    if (i < size()) return at(i).value;
     return Status(ErrorCode::ParseError, "unbound variable '" +
                                              std::string(name) +
                                              "' in clause expression");
   }
-  void reserve(std::size_t names) { values_.reserve(names); }
 
  private:
-  std::vector<std::pair<std::string, ExprValue>> values_;
+  struct Binding {
+    std::string_view name;
+    ExprValue value = 0;
+  };
+  // Bindings are numbered inline first, then spilled.
+  std::size_t size() const noexcept { return size_ + spill_.size(); }
+  Binding& at(std::size_t i) {
+    return i < kInline ? inline_[i] : spill_[i - kInline];
+  }
+  const Binding& at(std::size_t i) const {
+    return i < kInline ? inline_[i] : spill_[i - kInline];
+  }
+  /// The number of `name`'s binding; size() when unbound.
+  std::size_t index_of(std::string_view name) const noexcept {
+    std::size_t i = 0;
+    while (i < size() && at(i).name != name) ++i;
+    return i;
+  }
+
+  std::array<Binding, kInline> inline_{};
+  std::size_t size_ = 0;        ///< bindings in inline_
+  std::vector<Binding> spill_;  ///< bindings past kInline
 };
 
 /// Parsed expression; immutable, shareable.

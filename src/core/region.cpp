@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include <cstring>
+#include <optional>
 
 #include "core/exec_state.hpp"
 #include "core/reliability.hpp"
@@ -20,7 +21,10 @@ namespace detail {
 /// One open comm_parameters region (lives on the Region RAII stack).
 class RegionImpl {
  public:
-  Clauses clauses;  ///< already merged with any enclosing region
+  /// The region's clauses, merged with any enclosing region's: the caller's
+  /// own set (alive for the whole region) when outermost, else `nested`.
+  const Clauses* clauses = nullptr;
+  std::optional<Clauses> nested;
   const SiteKey* site = nullptr;
 };
 
@@ -105,8 +109,8 @@ void calibrate_pack(const SiteKey& site, rt::RankCtx& ctx,
 /// inputs of the target(auto) decision (docs/TUNING.md).
 void record_tune_observations(ExecState& state, rt::RankCtx& ctx,
                               const SiteKey& site,
-                              const std::vector<BufferRef>& sbufs,
-                              const std::vector<BufferRef>& rbufs,
+                              const BufferList& sbufs,
+                              const BufferList& rbufs,
                               std::size_t count) {
   for (std::size_t i = 0; i < sbufs.size(); ++i) {
     const mpi::Datatype dtype = datatype_for_buffer(state, sbufs[i]);
@@ -363,7 +367,7 @@ void sync_if_buffers_conflict(ExecState& state,
 }
 
 void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
-                 const std::function<void()>* overlap, const SiteKey& site) {
+                 FunctionRef<void()> overlap, const SiteKey& site) {
   auto& ctx = rt::current_ctx();
   auto& state = ExecState::mine();
 
@@ -373,7 +377,7 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
 
   ++state.stats.p2p_directives;
   throw_if_error(site_clauses.validate_p2p_site());
-  const ClauseView merged(region != nullptr ? &region->clauses : nullptr,
+  const ClauseView merged(region != nullptr ? region->clauses : nullptr,
                           site_clauses);
   throw_if_error(merged.validate_for_p2p());
 
@@ -561,9 +565,10 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
     case Target::Shmem: {
       // All ranks reach the directive (SPMD), so the per-site flag word is a
       // consistent collective symmetric allocation.
-      // The flag slots start at 0 because the symmetric heap is
-      // zero-initialized; writing them locally here would race with an early
-      // remote flag put from a faster sender. One slot per possible source.
+      // The flag slots start at 0 because the symmetric heap's pages are
+      // zero pages from the kernel; writing them locally here would race
+      // with an early remote flag put from a faster sender. One slot per
+      // possible source.
       // Key-coordinated allocation: ranks that never execute this site do
       // not disturb the offsets of those that do.
       auto& shmem_site = state.shmem_sites[&site];
@@ -575,8 +580,8 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
         for (std::size_t i = 0; i < pairs; ++i) {
           CID_REQUIRE(shmem::is_symmetric(rbufs[i].data),
                       ErrorCode::InvalidClause,
-                      "SHMEM target requires rbuf '" + rbufs[i].name +
-                          "' to be a symmetric data object");
+                      std::string("SHMEM target requires rbuf '") +
+                          rbufs[i].name + "' to be a symmetric data object");
           shmem::putmem(rbufs[i].data, sbufs[i].data,
                         count * sbufs[i].element_size, receiver_rank);
           ++state.stats.shmem_puts;
@@ -647,9 +652,9 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
 
   // Communication/computation overlap: the block runs while transfers are
   // in flight; synchronization comes later (region end or directive end).
-  if (overlap != nullptr && *overlap) {
+  if (overlap) {
     const simnet::SimTime overlap_begin = ctx.clock().now();
-    (*overlap)();
+    overlap();
     if (obs::enabled()) {
       record_trace_event({TraceEventKind::Overlap, ctx.rank(), overlap_begin,
                           ctx.clock().now(), site, 0, 0});
@@ -671,17 +676,12 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
 }  // namespace
 }  // namespace detail
 
-void Region::p2p(const Clauses& clauses, std::source_location site) {
-  detail::execute_p2p(clauses, impl_, nullptr, detail::site_key(site));
-}
-
-void Region::p2p(const Clauses& clauses, const std::function<void()>& overlap,
+void Region::p2p(const Clauses& clauses, FunctionRef<void()> overlap,
                  std::source_location site) {
-  detail::execute_p2p(clauses, impl_, &overlap, detail::site_key(site));
+  detail::execute_p2p(clauses, impl_, overlap, detail::site_key(site));
 }
 
-void comm_parameters(const Clauses& clauses,
-                     const std::function<void(Region&)>& body,
+void comm_parameters(const Clauses& clauses, FunctionRef<void(Region&)> body,
                      std::source_location site) {
   CID_REQUIRE(rt::in_spmd_region(), ErrorCode::RuntimeFault,
               "comm_parameters outside an SPMD region");
@@ -701,10 +701,11 @@ void comm_parameters(const Clauses& clauses,
   ++state.stats.regions;
   detail::RegionImpl impl;
   impl.site = &detail::site_key(site);
-  impl.clauses = state.region_stack.empty()
-                     ? clauses
-                     : Clauses::merged(state.region_stack.back()->clauses,
-                                       clauses);
+  impl.clauses = &clauses;
+  if (!state.region_stack.empty()) {
+    impl.nested = Clauses::merged(*state.region_stack.back()->clauses, clauses);
+    impl.clauses = &*impl.nested;
+  }
   state.region_stack.push_back(&impl);
 
   Region region(impl);
@@ -717,7 +718,7 @@ void comm_parameters(const Clauses& clauses,
   state.region_stack.pop_back();
 
   const SyncPlacement placement =
-      impl.clauses.place_sync_clause().value_or(SyncPlacement::EndParamRegion);
+      impl.clauses->place_sync_clause().value_or(SyncPlacement::EndParamRegion);
   switch (placement) {
     case SyncPlacement::EndParamRegion:
       // A pending END_ADJ_PARAM_REGIONS series also drains here: this is the
@@ -748,23 +749,14 @@ void comm_parameters(const Clauses& clauses,
   }
 }
 
-void comm_p2p(const Clauses& clauses, std::source_location site) {
-  CID_REQUIRE(rt::in_spmd_region(), ErrorCode::RuntimeFault,
-              "comm_p2p outside an SPMD region");
-  auto& state = detail::ExecState::mine();
-  const detail::RegionImpl* region =
-      state.region_stack.empty() ? nullptr : state.region_stack.back();
-  detail::execute_p2p(clauses, region, nullptr, detail::site_key(site));
-}
-
-void comm_p2p(const Clauses& clauses, const std::function<void()>& overlap,
+void comm_p2p(const Clauses& clauses, FunctionRef<void()> overlap,
               std::source_location site) {
   CID_REQUIRE(rt::in_spmd_region(), ErrorCode::RuntimeFault,
               "comm_p2p outside an SPMD region");
   auto& state = detail::ExecState::mine();
   const detail::RegionImpl* region =
       state.region_stack.empty() ? nullptr : state.region_stack.back();
-  detail::execute_p2p(clauses, region, &overlap, detail::site_key(site));
+  detail::execute_p2p(clauses, region, overlap, detail::site_key(site));
 }
 
 void comm_flush() {

@@ -23,9 +23,9 @@
 // overlap via the optional block argument of p2p().
 #pragma once
 
-#include <functional>
 #include <source_location>
 
+#include "common/function_ref.hpp"
 #include "core/clauses.hpp"
 
 namespace cid::core {
@@ -37,18 +37,14 @@ class RegionImpl;
 /// Handle to an open comm_parameters region, passed to the region body.
 class Region {
  public:
-  /// Execute one comm_p2p directive (clauses inherit from the region).
-  void p2p(const Clauses& clauses,
-           std::source_location site = std::source_location::current());
-
-  /// comm_p2p with an overlap block: the computation runs while the
-  /// transfers are in flight, before any synchronization (paper Listing 7).
-  void p2p(const Clauses& clauses, const std::function<void()>& overlap,
+  /// Execute one comm_p2p directive (clauses inherit from the region). The
+  /// optional overlap block runs while the transfers are in flight, before
+  /// any synchronization (paper Listing 7).
+  void p2p(const Clauses& clauses, FunctionRef<void()> overlap = {},
            std::source_location site = std::source_location::current());
 
  private:
-  friend void comm_parameters(const Clauses&,
-                              const std::function<void(Region&)>&,
+  friend void comm_parameters(const Clauses&, FunctionRef<void(Region&)>,
                               std::source_location);
   explicit Region(detail::RegionImpl& impl) : impl_(&impl) {}
   detail::RegionImpl* impl_;
@@ -58,14 +54,12 @@ class Region {
 /// inside `body`; synchronization is consolidated per place_sync (default:
 /// END_PARAM_REGION).
 void comm_parameters(
-    const Clauses& clauses, const std::function<void(Region&)>& body,
+    const Clauses& clauses, FunctionRef<void(Region&)> body,
     std::source_location site = std::source_location::current());
 
 /// Standalone comm_p2p (no enclosing region): transfers are synchronized at
 /// the end of the directive, after the optional overlap block.
-void comm_p2p(const Clauses& clauses,
-              std::source_location site = std::source_location::current());
-void comm_p2p(const Clauses& clauses, const std::function<void()>& overlap,
+void comm_p2p(const Clauses& clauses, FunctionRef<void()> overlap = {},
               std::source_location site = std::source_location::current());
 
 /// Complete any synchronization deferred across regions by place_sync

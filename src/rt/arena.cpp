@@ -70,6 +70,16 @@ int PayloadArena::bin_index(std::size_t bytes) noexcept {
   return log2 - 6;  // class 2^6 -> bin 0
 }
 
+int PayloadArena::release_bin_index(std::size_t capacity) noexcept {
+  if (capacity == 0 || capacity > kMaxBinnedBytes) return -1;
+  // Buffers below the smallest class share it; take() serves one only to
+  // an acquire it holds.
+  if (capacity < kMinBinBytes) return 0;
+  // Index of the largest power-of-two class `capacity` covers: every
+  // acquire of at most the class size fits without reallocating.
+  return std::bit_width(capacity) - 1 - 6;
+}
+
 PayloadArena::Front* PayloadArena::front() {
   if (thread_front_ != nullptr) return thread_front_;
   if (thread_front_gone_) return nullptr;
@@ -103,14 +113,28 @@ std::size_t PayloadArena::park(int bin_idx, std::span<ByteBuffer> buffers) {
   return kept;
 }
 
-bool PayloadArena::take(int bin_idx, ByteBuffer& out) {
-  Bin& bin = bins_[bin_idx];
-  std::lock_guard<std::mutex> lock(bin.mutex);
-  if (bin.free.empty()) return false;
-  out = std::move(bin.free.back());
-  bin.free.pop_back();
-  bin.free_bytes -= out.capacity();
-  return true;
+bool PayloadArena::take(Front* front, int bin_idx, std::size_t size,
+                        ByteBuffer& out) {
+  if (front != nullptr && bin_idx < kFrontBins) {
+    auto& local = front->bins[bin_idx];
+    if (local.empty()) refill(*front, bin_idx);
+    if (local.empty()) return false;
+    out = std::move(local.back());
+    local.pop_back();
+    front->remove_parked(out.capacity());
+  } else {
+    Bin& bin = bins_[bin_idx];
+    std::lock_guard<std::mutex> lock(bin.mutex);
+    if (bin.free.empty()) return false;
+    out = std::move(bin.free.back());
+    bin.free.pop_back();
+    bin.free_bytes -= out.capacity();
+  }
+  if (out.capacity() >= size) return true;
+  // Too small for this acquire: freed, not parked again, so a bin does not
+  // fill up with buffers that the traffic no longer fits.
+  out = ByteBuffer();
+  return false;
 }
 
 void PayloadArena::spill(Front& front, int bin_idx, std::size_t count) {
@@ -157,17 +181,16 @@ void PayloadArena::park_nodes(std::span<PayloadNode* const> nodes) {
 ByteBuffer PayloadArena::acquire(std::size_t size) {
   Front* const front = this->front();
   count(front, &Counters::acquires);
-  const int bin_idx = bin_index(size);
-  if (bin_idx < 0) return ByteBuffer(size);
+  const int fit_bin = bin_index(size);
+  if (fit_bin < 0) return ByteBuffer(size);
+  // A released buffer parks in the class its capacity rounds down to, so
+  // same-size traffic finds its buffers in the class `size` rounds down to;
+  // every buffer of the class it rounds up to fits.
+  const int near_bin = release_bin_index(size);
   ByteBuffer buffer;
-  if (front != nullptr && bin_idx < kFrontBins) {
-    auto& local = front->bins[bin_idx];
-    if (local.empty()) refill(*front, bin_idx);
-    if (local.empty()) return ByteBuffer(size);
-    buffer = std::move(local.back());
-    local.pop_back();
-    front->remove_parked(buffer.capacity());
-  } else if (!take(bin_idx, buffer)) {
+  const bool near_hit = near_bin >= 0 && near_bin != fit_bin &&
+                        take(front, near_bin, size, buffer);
+  if (!near_hit && !take(front, fit_bin, size, buffer)) {
     return ByteBuffer(size);
   }
   count(front, &Counters::reuses);
@@ -180,9 +203,8 @@ void PayloadArena::release(ByteBuffer&& buffer) {
   Front* const front = this->front();
   count(front, &Counters::releases);
   const std::size_t capacity = buffer.capacity();
-  if (capacity == 0) return;
-  const int bin_idx = bin_index(capacity);
-  if (bin_idx < 0) return;  // oversized: let the allocator have it back
+  const int bin_idx = release_bin_index(capacity);
+  if (bin_idx < 0) return;  // tiny or oversized: back to the allocator
   if (front != nullptr && bin_idx < kFrontBins) {
     auto& local = front->bins[bin_idx];
     if (local.size() >= front_depth(bin_idx)) {

@@ -61,11 +61,12 @@ class PayloadArena {
   static PayloadArena& global();
 
   /// A buffer of exactly `size` bytes, value-initialized, with capacity
-  /// recycled from the matching bin when available.
+  /// recycled from a bin when one holds a buffer large enough.
   ByteBuffer acquire(std::size_t size);
 
-  /// Return a buffer's capacity to its bin (dropped when the bin is at its
-  /// retention cap or the buffer is oversized).
+  /// Return a buffer's capacity to the bin of the largest class it covers
+  /// (dropped when the bin is at its retention cap or the buffer is
+  /// oversized).
   void release(ByteBuffer&& buffer);
 
   /// A refcount node with refs == 1 and empty bytes.
@@ -107,7 +108,13 @@ class PayloadArena {
     return kFrontBinBytes / (kMinBinBytes << bin_idx);
   }
 
+  /// The class an acquire of `bytes` takes from (size rounded up); -1 when
+  /// oversized.
   static int bin_index(std::size_t bytes) noexcept;
+  /// The class a released buffer of `capacity` bytes parks in: capacity
+  /// rounded down, so it holds every acquire of the class size; the
+  /// smallest class for a buffer below it; -1 when empty or oversized.
+  static int release_bin_index(std::size_t capacity) noexcept;
 
   struct Bin {
     std::mutex mutex;
@@ -144,8 +151,11 @@ class PayloadArena {
   /// Move `buffers` into a global bin (one lock) while it stays under its
   /// cap; returns how many it kept. The caller frees the rest.
   std::size_t park(int bin_idx, std::span<ByteBuffer> buffers);
-  /// Pop a buffer from a global bin.
-  bool take(int bin_idx, ByteBuffer& out);
+  /// Pop the most recently parked buffer of a bin (the front's for a front
+  /// class, else the global one) into `out`; true when its capacity holds
+  /// `size` bytes. A buffer too small is freed and false returned, as for
+  /// an empty bin.
+  bool take(Front* front, int bin_idx, std::size_t size, ByteBuffer& out);
   /// Move the oldest `count` buffers of a front bin to its global bin (one
   /// lock); those past the cap are freed.
   void spill(Front& front, int bin_idx, std::size_t count);

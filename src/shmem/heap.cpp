@@ -1,7 +1,9 @@
 #include "shmem/heap.hpp"
-#include <atomic>
+
+#include <sys/mman.h>
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/error.hpp"
 
@@ -16,13 +18,33 @@ std::size_t align_up(std::size_t value) {
 }  // namespace
 
 SymmetricHeap::SymmetricHeap(int npes, std::size_t capacity)
-    : capacity_(capacity), pes_(npes), calls_per_pe_(npes, 0) {
-  for (auto& pe : pes_) {
-    // Zero-initialized: synchronization flags handed out by the directive
-    // layer must read 0 before the first remote put, without requiring any
-    // racy local initialization after allocation.
-    pe.storage = std::make_unique<std::byte[]>(capacity);
-  }
+    : capacity_(align_up(capacity)),
+      map_bytes_(static_cast<std::size_t>(npes) * capacity_),
+      mapping_(nullptr),
+      pes_(npes),
+      calls_per_pe_(npes, 0) {
+  CID_REQUIRE(npes > 0 && capacity > 0, ErrorCode::InvalidArgument,
+              "symmetric heap needs at least one PE and a nonzero capacity");
+  // Zero pages from the kernel: synchronization flags handed out by the
+  // directive layer must read 0 before the first remote put, without any
+  // racy local initialization after allocation. No page is touched here,
+  // so a PE pays only for the pages it uses. MAP_NORESERVE: the heap is
+  // sized for the worst case, not committed up front.
+  void* mapping = ::mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  CID_REQUIRE(mapping != MAP_FAILED, ErrorCode::RuntimeFault,
+              "symmetric heap mmap of " + std::to_string(map_bytes_) +
+                  " bytes failed");
+  mapping_ = static_cast<std::byte*>(mapping);
+}
+
+SymmetricHeap::~SymmetricHeap() { ::munmap(mapping_, map_bytes_); }
+
+int SymmetricHeap::checked_pe(int pe) const {
+  CID_REQUIRE(pe >= 0 && static_cast<std::size_t>(pe) < pes_.size(),
+              ErrorCode::InvalidArgument,
+              "PE " + std::to_string(pe) + " is outside the symmetric heap");
+  return pe;
 }
 
 void* SymmetricHeap::allocate(int pe, std::size_t bytes) {
@@ -50,7 +72,7 @@ void* SymmetricHeap::allocate(int pe, std::size_t bytes) {
               "symmetric heap exhausted (capacity " +
                   std::to_string(capacity_) + " bytes)");
   state.allocated = offset + padded;
-  return state.storage.get() + offset;
+  return base(pe) + offset;
 }
 
 void* SymmetricHeap::shared_allocate(int pe, const std::string& key,
@@ -73,26 +95,24 @@ void* SymmetricHeap::shared_allocate(int pe, const std::string& key,
     }
     it = shared_offsets_.emplace(key, offset).first;
   }
-  return pes_.at(pe).storage.get() + it->second;
+  return base(checked_pe(pe)) + it->second;
 }
 
 bool SymmetricHeap::contains(int pe, const void* ptr) const noexcept {
   const auto* p = static_cast<const std::byte*>(ptr);
-  const auto& state = pes_[pe];
-  return p >= state.storage.get() && p < state.storage.get() + capacity_;
+  return p >= base(pe) && p < base(pe) + capacity_;
 }
 
 std::byte* SymmetricHeap::translate(int pe, const void* local, int target_pe,
                                     std::size_t bytes) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto& mine = pes_.at(pe);
+  // The mapping never moves, so no lock: this reads nothing mutable.
   const auto* p = static_cast<const std::byte*>(local);
-  CID_REQUIRE(p >= mine.storage.get() &&
-                  p + bytes <= mine.storage.get() + capacity_,
+  const std::byte* mine = base(checked_pe(pe));
+  CID_REQUIRE(p >= mine && bytes <= capacity_ &&
+                  p <= mine + (capacity_ - bytes),
               ErrorCode::InvalidArgument,
               "address is not a symmetric heap object of this PE");
-  const std::size_t offset = static_cast<std::size_t>(p - mine.storage.get());
-  return pes_.at(target_pe).storage.get() + offset;
+  return base(checked_pe(target_pe)) + offset_in(pe, p);
 }
 
 std::size_t SymmetricHeap::allocated(int pe) const {
@@ -135,9 +155,7 @@ void SymmetricHeap::record_word_write(int target_pe, const void* word,
                                       simnet::SimTime delivery) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto& target = pes_.at(target_pe);
-  const auto* p = static_cast<const std::byte*>(word);
-  const auto offset = static_cast<std::size_t>(p - target.storage.get());
-  target.word_writes[offset].push_back({value, delivery});
+  target.word_writes[offset_in(target_pe, word)].push_back({value, delivery});
 }
 
 std::optional<simnet::SimTime> SymmetricHeap::consume_word_write(
@@ -145,9 +163,7 @@ std::optional<simnet::SimTime> SymmetricHeap::consume_word_write(
     const std::function<bool(std::uint64_t)>& satisfied) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto& state = pes_.at(pe);
-  const auto* p = static_cast<const std::byte*>(word);
-  const auto offset = static_cast<std::size_t>(p - state.storage.get());
-  auto it = state.word_writes.find(offset);
+  auto it = state.word_writes.find(offset_in(pe, word));
   if (it == state.word_writes.end()) return std::nullopt;
   auto& history = it->second;
   for (std::size_t i = 0; i < history.size(); ++i) {

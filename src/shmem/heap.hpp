@@ -9,9 +9,9 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "rt/runtime.hpp"
@@ -20,9 +20,17 @@
 namespace cid::shmem {
 
 /// Per-World heap state; all PEs share one instance via the World registry.
+/// The PEs' blocks are one anonymous private mapping of npes x capacity
+/// bytes, PE `pe` at offset pe x capacity. Its pages come from the kernel as
+/// zero pages on first touch, so every fresh block reads 0 and a PE that
+/// touches little of its heap costs little memory.
 class SymmetricHeap {
  public:
+  /// `capacity` is rounded up to the block alignment (16 bytes).
   SymmetricHeap(int npes, std::size_t capacity);
+  ~SymmetricHeap();
+  SymmetricHeap(const SymmetricHeap&) = delete;
+  SymmetricHeap& operator=(const SymmetricHeap&) = delete;
 
   /// Collective bump allocation: every PE must call with the same size in the
   /// same order. Returns the calling PE's local block.
@@ -99,7 +107,6 @@ class SymmetricHeap {
   };
 
   struct PeState {
-    std::unique_ptr<std::byte[]> storage;
     std::size_t allocated = 0;
     simnet::SimTime incoming_max = 0.0;
     simnet::SimTime outgoing_max = 0.0;
@@ -108,8 +115,21 @@ class SymmetricHeap {
     std::map<std::size_t, std::deque<WordWrite>> word_writes;
   };
 
+  /// PE `pe`'s block. `pe` must be in [0, npes).
+  std::byte* base(int pe) const noexcept {
+    return mapping_ + static_cast<std::size_t>(pe) * capacity_;
+  }
+  /// Offset of `p` inside PE `pe`'s block; `p` must lie in that block.
+  std::size_t offset_in(int pe, const void* p) const noexcept {
+    return static_cast<std::size_t>(static_cast<const std::byte*>(p) -
+                                    base(pe));
+  }
+  int checked_pe(int pe) const;
+
   mutable std::mutex mutex_;
   std::size_t capacity_;
+  std::size_t map_bytes_;
+  std::byte* mapping_;  ///< immutable after construction; read without lock
   std::vector<PeState> pes_;
   /// Allocation sizes observed from PE 0's sequence, used to detect
   /// asymmetric allocation bugs on other PEs.

@@ -16,7 +16,8 @@ namespace cid::shmem {
 int my_pe();
 int n_pes();
 
-/// Collective symmetric allocation (every PE, same sizes, same order).
+/// Collective symmetric allocation (every PE, same sizes, same order). The
+/// block reads 0: the heap's zero pages from the kernel, never reused.
 void* malloc_sym(std::size_t bytes);
 
 /// Typed symmetric allocation of `count` elements of T.
@@ -32,7 +33,8 @@ bool is_symmetric(const void* ptr);
 /// Runtime-internal: key-coordinated symmetric allocation of `count` 64-bit
 /// flag words. Every PE asking for the same key gets the same heap offset,
 /// independent of call order, and PEs that never ask need not participate —
-/// unlike malloc_sym's collective ordering discipline. Zero-initialized.
+/// unlike malloc_sym's collective ordering discipline. Reads 0 until written:
+/// zero pages from the kernel.
 std::uint64_t* shared_flags(const std::string& key, std::size_t count);
 
 /// shmem_putmem: copy `bytes` from local `source` into `dest` (a symmetric

@@ -757,8 +757,7 @@ void expect_view_matches_merged(const Clauses& region, const Clauses& site) {
   same(view.reliability_timeout_clause(), merged.reliability_timeout_clause());
   same(view.reliability_retries_clause(), merged.reliability_retries_clause());
   EXPECT_EQ(view.target_clause(), merged.target_clause());
-  const auto same_buffers = [](const std::vector<BufferRef>& a,
-                               const std::vector<BufferRef>& b) {
+  const auto same_buffers = [](const BufferList& a, const BufferList& b) {
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].data, b[i].data);
   };

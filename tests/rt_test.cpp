@@ -854,6 +854,29 @@ TEST(Arena, RecyclesPayloadBuffers) {
   arena.release(std::move(again));
 }
 
+// A released buffer parks in the largest class its capacity covers, so a
+// counted reuse never reallocates: a 200000-byte buffer serves later
+// 200000-byte acquires, not 256 KiB ones. (Classes this large have no
+// per-thread front, and no other test parks buffers in them.)
+TEST(Arena, ReuseNeverReallocates) {
+  auto& arena = cid::rt::PayloadArena::global();
+  cid::ByteBuffer first = arena.acquire(200000);
+  const std::byte* const storage = first.data();
+  arena.release(std::move(first));
+  auto before = arena.stats();
+  cid::ByteBuffer big = arena.acquire(std::size_t{256} << 10);
+  const bool reused = arena.stats().reuses == before.reuses + 1;
+  EXPECT_EQ(reused, big.data() == storage);
+  EXPECT_EQ(big.size(), std::size_t{256} << 10);
+
+  before = arena.stats();
+  cid::ByteBuffer same = arena.acquire(200000);
+  EXPECT_EQ(arena.stats().reuses, before.reuses + 1);
+  EXPECT_EQ(same.data(), storage);
+  arena.release(std::move(big));
+  arena.release(std::move(same));
+}
+
 TEST(Arena, RecycledBuffersAreZeroed) {
   auto& arena = cid::rt::PayloadArena::global();
   cid::ByteBuffer buffer = arena.acquire(512);

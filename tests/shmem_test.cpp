@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdio>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -298,6 +299,77 @@ TEST(ShmemSharedFlags, ZeroInitialized) {
     std::uint64_t* flags = shmem::shared_flags("fresh", 8);
     for (int i = 0; i < 8; ++i) EXPECT_EQ(flags[i], 0u);
   });
+}
+
+// The heap's pages are zero pages from the kernel: a World's heap reads 0
+// even when an earlier World's heap was written all over.
+TEST(ShmemHeap, FreshWorldReadsZeroAfterEarlierWorldWrote) {
+  constexpr std::size_t kBytes = 64 * 1024;
+  constexpr std::size_t kFlags = 32;
+  spmd(4, [&](RankCtx& ctx) {
+    auto* block = static_cast<unsigned char*>(shmem::malloc_sym(kBytes));
+    std::memset(block, 0xAB, kBytes);
+    std::uint64_t* flags = shmem::shared_flags("reused.site", kFlags);
+    for (std::size_t i = 0; i < kFlags; ++i) flags[i] = ~std::uint64_t{0};
+    ctx.barrier();
+  });
+  spmd(4, [&](RankCtx& ctx) {
+    const auto* block =
+        static_cast<const unsigned char*>(shmem::malloc_sym(kBytes));
+    const std::uint64_t* flags = shmem::shared_flags("reused.site", kFlags);
+    std::size_t nonzero = 0;
+    for (std::size_t i = 0; i < kBytes; ++i) nonzero += block[i] != 0;
+    for (std::size_t i = 0; i < kFlags; ++i) nonzero += flags[i] != 0;
+    EXPECT_EQ(nonzero, 0u) << "PE " << ctx.rank();
+  });
+}
+
+TEST(ShmemHeap, TranslateRejectsAddressesOutsideTheHeap) {
+  spmd(2, [](RankCtx& ctx) {
+    auto& heap = shmem::SymmetricHeap::of_world(ctx);
+    auto* first = static_cast<std::byte*>(shmem::malloc_sym(64));
+    auto* top = reinterpret_cast<std::byte*>(shmem::shared_flags("top", 2));
+    const int peer = 1 - ctx.rank();
+    // The first block starts the heap and the flags end it.
+    EXPECT_NO_THROW(heap.translate(ctx.rank(), first, peer, 64));
+    EXPECT_NO_THROW(heap.translate(ctx.rank(), top, peer, 16));
+    double local = 0.0;
+    EXPECT_THROW(heap.translate(ctx.rank(), &local, peer, sizeof(local)),
+                 cid::CidError);
+    EXPECT_THROW(heap.translate(ctx.rank(), first - 1, peer, 1),
+                 cid::CidError);
+    EXPECT_THROW(heap.translate(ctx.rank(), top, peer, 17), cid::CidError);
+    EXPECT_THROW(heap.translate(ctx.rank(), first, 2, 8), cid::CidError);
+  });
+}
+
+/// Resident set of this process in KiB (VmRSS of /proc/self/status).
+long resident_kib() {
+  std::FILE* status = std::fopen("/proc/self/status", "r");
+  if (status == nullptr) return -1;
+  char line[256];
+  long kib = -1;
+  while (std::fgets(line, sizeof(line), status) != nullptr) {
+    if (std::sscanf(line, "VmRSS: %ld kB", &kib) == 1) break;
+  }
+  std::fclose(status);
+  return kib;
+}
+
+// A PE pays only for the heap pages it touches: 337 PEs with one small
+// block each stay far below 337 x the 1 MiB default capacity.
+TEST(ShmemHeap, UntouchedHeapCostsNoMemory) {
+  const long before = resident_kib();
+  ASSERT_GT(before, 0);
+  long during = 0;
+  spmd(337, [&](RankCtx& ctx) {
+    auto* block = shmem::malloc_of<double>(16);
+    for (int i = 0; i < 16; ++i) block[i] = ctx.rank() + i;
+    ctx.barrier();
+    if (ctx.rank() == 0) during = resident_kib();
+    ctx.barrier();
+  });
+  EXPECT_LT(during - before, 64L * 1024);
 }
 
 TEST(ShmemSharedFlags, ArenaAndUserAllocationsDoNotCollide) {
